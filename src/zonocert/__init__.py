@@ -2,15 +2,14 @@
 
 from .dicing import (DicingRep, EdgeSet, NormalSet, apply_affine,
                      compute_edge_set, first_basis_indices,
-                     is_totally_unimodular, lattice_of_dicing,
-                     unimodular_representation)
+                     is_totally_unimodular, unimodular_representation)
 from .errors import ZonocertError
 from .parallelohedron import (CertificateAudit, DualityReport, FacetVectorSet,
                               QuadraticForm, VertexDuality, VoronoiCertificate,
                               certify_second_voronoi, check_n_equals_e,
                               delone_duality_check, dv_cell_oracle, dv_zonotope,
-                              extract_basis, facet_vectors, quadratic_form,
-                              verify_certificate, zone_vectors)
+                              extract_basis, facet_vectors, lattice_of_dicing,
+                              quadratic_form, verify_certificate, zone_vectors)
 from .ratgeom import (LatticeBasis, RatMatrix, Rational, RatVector,
                       canonical_direction, det, dual_lattice_basis,
                       hnf_lattice_basis, inverse, kernel_basis, kernel_line,

@@ -19,16 +19,14 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .dicing import NormalSet, compute_edge_set, lattice_of_dicing
+from .dicing import NormalSet, compute_edge_set
 from .errors import (CertificationError, DimensionMismatch, InternalFault,
                      SchemaError, ZonocertError)
 from .parallelohedron import (certify_second_voronoi, dv_cell_oracle,
-                              dv_zonotope, facet_vectors, quadratic_form,
-                              verify_certificate)
-from .ratgeom import RatVector, kernel_basis, RatMatrix, det
+                              dv_zonotope, facet_vectors, lattice_of_dicing,
+                              quadratic_form, verify_certificate)
+from .ratgeom import RatMatrix, RatVector, det, kernel_basis, zero_vector
 from .zonotope import Zonotope, facets, venkov_check, vertices_oracle
-
-_ZERO = Fraction(0)
 
 
 class _UsageError(Exception):
@@ -175,31 +173,38 @@ def _cyclic_order(points: list[tuple[Fraction, Fraction]]):
 
 
 # ---------------------------------------------------------------------------
+# lattice patches
+
+
+def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
+                   fmt: str, dim: int) -> list[RatVector]:
+    """Sorted translates of the cell drawn by an export: the lattice points
+    with coordinates in [-r, r] in the lattice basis, or the origin alone."""
+    if z.dimension != dim:
+        raise DimensionMismatch(f"{fmt} export needs a {dim}-dimensional cell")
+    if patch_radius < 0:
+        raise _UsageError("patch radius must be non-negative")
+    if ns is None and patch_radius > 0:
+        raise _UsageError("a lattice patch needs a normal_set input")
+    if patch_radius == 0:
+        return [zero_vector(dim)]
+    cols = lattice_of_dicing(ns).vectors
+    span = range(-patch_radius, patch_radius + 1)
+    offsets = [sum((v.scale(c) for c, v in zip(coeffs, cols)), zero_vector(dim))
+               for coeffs in itertools.product(span, repeat=dim)]
+    return sorted(offsets, key=lambda v: v.entries)
+
+
+# ---------------------------------------------------------------------------
 # SVG (d = 2)
 
 
 def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
                   digits: int) -> str:
-    if z.dimension != 2:
-        raise DimensionMismatch("svg export needs a 2-dimensional cell")
-    if patch_radius < 0:
-        raise _UsageError("patch radius must be non-negative")
-    if ns is None and patch_radius > 0:
-        raise _UsageError("a lattice patch needs a normal_set input")
-
+    offsets = _patch_offsets(ns, z, patch_radius, "svg", 2)
     polygon = _cyclic_order([v.entries for v in vertices_oracle(z)])
-    offsets: list[tuple[Fraction, Fraction]] = [(_ZERO, _ZERO)]
     arrows: list[tuple[Fraction, Fraction]] = []
     if ns is not None:
-        lat = lattice_of_dicing(ns)
-        cols = lat.vectors
-        if patch_radius > 0:
-            offsets = []
-            for i in range(-patch_radius, patch_radius + 1):
-                for j in range(-patch_radius, patch_radius + 1):
-                    off = cols[0].scale(i) + cols[1].scale(j)
-                    offsets.append((off[0], off[1]))
-            offsets.sort()
         for lam in facet_vectors(ns).vectors:
             arrows.append((lam[0], lam[1]))
             arrows.append((-lam[0], -lam[1]))
@@ -275,23 +280,8 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
 
 def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
                   digits: int) -> str:
-    if z.dimension != 3:
-        raise DimensionMismatch("obj export needs a 3-dimensional cell")
-    if patch_radius < 0:
-        raise _UsageError("patch radius must be non-negative")
-    if ns is None and patch_radius > 0:
-        raise _UsageError("a lattice patch needs a normal_set input")
-
+    offsets = _patch_offsets(ns, z, patch_radius, "obj", 3)
     verts, polygons = _facet_polygons(z)
-    offsets = [RatVector([0, 0, 0])]
-    if ns is not None and patch_radius > 0:
-        lat = lattice_of_dicing(ns)
-        cols = lat.vectors
-        offsets = []
-        r = patch_radius
-        for i, j, k in itertools.product(range(-r, r + 1), repeat=3):
-            offsets.append(cols[0].scale(i) + cols[1].scale(j) + cols[2].scale(k))
-        offsets.sort(key=lambda v: v.entries)
 
     dec = lambda v: _decimal_str(v, digits)
     lines = ["# zonocert DV cell export"]

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
-                      dual_lattice_basis, hnf_lattice_basis, inverse,
-                      kernel_line, lattice_contains, parallel_ratio, rank)
+from .ratgeom import (RatMatrix, RatVector, _bareiss_det, first_parallel_pair,
+                      independent_spans, inverse, kernel_line, rank,
+                      unit_vector)
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,9 @@ class NormalSet:
         for k, w in enumerate(self.weights):
             if w <= 0:
                 raise InvalidNormalSet(f"weight {k} is not positive")
-        dirs = [canonical_direction(v) for v in self.normals]
-        for i, j in itertools.combinations(range(len(dirs)), 2):
-            if dirs[i] == dirs[j]:
-                raise InvalidNormalSet(f"normals {i} and {j} are parallel")
+        pair = first_parallel_pair(self.normals)
+        if pair is not None:
+            raise InvalidNormalSet("normals {} and {} are parallel".format(*pair))
         if rank(RatMatrix.from_rows(self.normals)) != d:
             raise InvalidNormalSet("normals do not span the space")
 
@@ -80,10 +79,9 @@ class EdgeSet:
                            tuple(tuple(int(i) for i in p) for p in provenance))
         if len(self.edges) != len(self.provenance):
             raise ValueError("one provenance subset per edge required")
-        dirs = [canonical_direction(e) for e in self.edges]
-        for i, j in itertools.combinations(range(len(dirs)), 2):
-            if dirs[i] == dirs[j]:
-                raise ValueError(f"edges {i} and {j} are parallel")
+        pair = first_parallel_pair(self.edges)
+        if pair is not None:
+            raise ValueError("edges {} and {} are parallel".format(*pair))
 
 
 def compute_edge_set(ns: NormalSet) -> EdgeSet:
@@ -97,18 +95,9 @@ def compute_edge_set(ns: NormalSet) -> EdgeSet:
     also enforces scale consistency across subsets.
     """
     d = ns.dimension
-    n = len(ns.normals)
     edges: list[RatVector] = []
     provenance: list[tuple[int, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(n), d - 1):
-        m = RatMatrix.from_rows([ns.normals[i] for i in subset], cols=d)
-        if rank(m) != d - 1:
-            continue
-        line = kernel_line(m)
-        if line.entries in seen:
-            continue
-        seen.add(line.entries)
+    for subset, line in independent_spans(ns.normals, d - 1, kernel_line):
         products = tuple(v.dot(line) for v in ns.normals)
         magnitudes = {abs(p) for p in products if p != 0}
         if len(magnitudes) != 1:
@@ -120,22 +109,6 @@ def compute_edge_set(ns: NormalSet) -> EdgeSet:
         edges.append(line.scale(Fraction(1) / a))
         provenance.append(subset)
     return EdgeSet(d, edges, provenance)
-
-
-def lattice_of_dicing(ns: NormalSet) -> LatticeBasis:
-    """Basis of the lattice of points with integer position in every family.
-
-    That lattice is the dual of the lattice generated by the normals.  As
-    a postcondition every dicing edge must lie in it; a failure there is
-    an internal fault, not a property of the input.
-    """
-    es = compute_edge_set(ns)
-    lat = dual_lattice_basis(hnf_lattice_basis(ns.normals))
-    for e in es.edges:
-        if not lattice_contains(lat, e):
-            from .errors import InternalFault
-            raise InternalFault(f"edge {e.entries} escapes the dicing lattice")
-    return lat
 
 
 @dataclass(frozen=True)
@@ -167,6 +140,20 @@ def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
     raise InvalidNormalSet("normals do not span the space")
 
 
+def dual_edge_indices(ns: NormalSet, es: EdgeSet,
+                      b_idx: tuple[int, ...]) -> tuple[int | None, ...]:
+    """Per basis normal b_idx[k], the index of the first edge orthogonal to
+    the other basis normals but not to it, or None when no edge is."""
+    out = []
+    for i in b_idx:
+        others = [ns.normals[j] for j in b_idx if j != i]
+        out.append(next(
+            (k for k, e in enumerate(es.edges)
+             if all(w.dot(e) == 0 for w in others) and ns.normals[i].dot(e) != 0),
+            None))
+    return tuple(out)
+
+
 def is_totally_unimodular(m: RatMatrix) -> bool:
     """Exhaustive minor check: every square minor is 0 or +-1.
 
@@ -178,7 +165,6 @@ def is_totally_unimodular(m: RatMatrix) -> bool:
             if e.denominator != 1:
                 raise NonIntegerEntries("total unimodularity needs integer entries")
     ints = [[int(e) for e in row] for row in m.entries]
-    from .ratgeom import _bareiss_det
     for k in range(1, min(m.rows, m.cols) + 1):
         for rows_sub in itertools.combinations(range(m.rows), k):
             for cols_sub in itertools.combinations(range(m.cols), k):
@@ -204,24 +190,18 @@ def unimodular_representation(ns: NormalSet, es: EdgeSet) -> DicingRep:
 
     normals_cols = [b_inv @ v for v in ns.normals]
 
-    # per basis normal, the unique edge orthogonal to the d-1 others
-    dual_edge: dict[int, int] = {}
-    for pos, i in enumerate(b_idx):
-        others = [ns.normals[j] for k, j in enumerate(b_idx) if k != pos]
-        for e_idx, e in enumerate(es.edges):
-            if all(w.dot(e) == 0 for w in others) and ns.normals[i].dot(e) != 0:
-                dual_edge[pos] = e_idx
-                break
-        else:
+    dual = dual_edge_indices(ns, es, b_idx)
+    for i, e_idx in zip(b_idx, dual):
+        if e_idx is None:
             raise RepresentationCheckFailed(
                 f"no edge is dual to basis normal {i}")
 
     signs = [1] * len(es.edges)
-    for pos, e_idx in dual_edge.items():
-        pairing = ns.normals[b_idx[pos]].dot(es.edges[e_idx])
+    for i, e_idx in zip(b_idx, dual):
+        pairing = ns.normals[i].dot(es.edges[e_idx])
         if abs(pairing) != 1:
             raise RepresentationCheckFailed(
-                f"edge {e_idx} pairs {pairing} with basis normal {b_idx[pos]}")
+                f"edge {e_idx} pairs {pairing} with basis normal {i}")
         signs[e_idx] = 1 if pairing == 1 else -1
 
     edges_cols = [(transform @ e).scale(s) for e, s in zip(es.edges, signs)]
@@ -233,7 +213,6 @@ def unimodular_representation(ns: NormalSet, es: EdgeSet) -> DicingRep:
                     raise RepresentationCheckFailed(
                         f"{label} column {k} has entry {e} outside 0/+-1")
 
-    from .ratgeom import unit_vector
     for label, cols in (("normal", normals_cols), ("edge", edges_cols)):
         col_set = {c.entries for c in cols}
         for i in range(d):

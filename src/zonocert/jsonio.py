@@ -39,11 +39,15 @@ def parse_rational(obj, location: str) -> Fraction:
     if not isinstance(obj, str) or not _RATIONAL_RE.match(obj):
         raise SchemaError(location, f"expected a rational string 'p/q', got {obj!r}")
     num, _, den = obj.partition("/")
-    if den == "":
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        # int() refuses strings beyond the interpreter's digit limit
+        raise SchemaError(location, f"too many digits ({len(obj)} characters) "
+                                    "for an exact integer conversion")
+    if den == 0:
         raise SchemaError(location, "zero denominator")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def vector_to_json(v: RatVector) -> list[str]:

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicing import (EdgeSet, NormalSet, compute_edge_set, first_basis_indices,
-                     unimodular_representation)
+from .dicing import (EdgeSet, NormalSet, compute_edge_set, dual_edge_indices,
+                     first_basis_indices, unimodular_representation)
 from .errors import (BasisCheckFailed, CertificationError, DimensionTooLarge,
                      DualityViolation, EnumerationInsufficient, InternalFault,
                      Mismatch, NotInLattice, NotPositiveDefinite, ZonocertError)
@@ -91,6 +91,28 @@ def dv_zonotope(ns: NormalSet) -> Zonotope:
 
 
 # ---------------------------------------------------------------------------
+# the dicing lattice
+
+
+def _lattice_from(ns: NormalSet, es: EdgeSet) -> LatticeBasis:
+    lat = dual_lattice_basis(hnf_lattice_basis(ns.normals))
+    for e in es.edges:
+        if not lattice_contains(lat, e):
+            raise InternalFault(f"edge {e.entries} escapes the dicing lattice")
+    return lat
+
+
+def lattice_of_dicing(ns: NormalSet) -> LatticeBasis:
+    """Basis of the lattice of points with integer position in every family.
+
+    That lattice is the dual of the lattice generated by the normals.  As
+    a postcondition every dicing edge must lie in it; a failure there is
+    an internal fault, not a property of the input.
+    """
+    return _lattice_from(ns, compute_edge_set(ns))
+
+
+# ---------------------------------------------------------------------------
 # facet vectors
 
 
@@ -126,7 +148,6 @@ def _facet_vectors_from(q: QuadraticForm, lattice: LatticeBasis,
 def facet_vectors(ns: NormalSet) -> FacetVectorSet:
     """Facet vectors of the DV cell: lattice points whose bisectors carry
     the facets of the zone vector zonotope."""
-    from .dicing import lattice_of_dicing
     q = quadratic_form(ns)
     lat = lattice_of_dicing(ns)
     z = dv_zonotope(ns)
@@ -185,12 +206,7 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
     edge_to_vector = {i: (j, s) for i, j, s in bijection}
     chosen_indices: list[int] = []
     chosen: list[RatVector] = []
-    for bi in b_idx:
-        others = [ns.normals[j] for j in b_idx if j != bi]
-        edge_i = next(
-            (k for k, e in enumerate(es.edges)
-             if all(w.dot(e) == 0 for w in others) and ns.normals[bi].dot(e) != 0),
-            None)
+    for bi, edge_i in zip(b_idx, dual_edge_indices(ns, es, b_idx)):
         if edge_i is None:
             raise BasisCheckFailed(f"no edge is dual to basis normal {bi}")
         j, _ = edge_to_vector[edge_i]
@@ -423,7 +439,6 @@ def delone_duality_check(ns: NormalSet,
     lattice point strictly closer, and each such point must lie on a
     hyperplane of every family.  Violations raise DualityViolation.
     """
-    from .dicing import lattice_of_dicing
     d = ns.dimension
     if d > 3:
         raise DimensionTooLarge("duality check supports dimension at most 3")
@@ -476,14 +491,6 @@ class VoronoiCertificate:
     lattice: LatticeBasis
     basis_indices: tuple[int, ...]
     lattice_coordinate_det: Fraction
-
-
-def _lattice_from(ns: NormalSet, es: EdgeSet) -> LatticeBasis:
-    lat = dual_lattice_basis(hnf_lattice_basis(ns.normals))
-    for e in es.edges:
-        if not lattice_contains(lat, e):
-            raise InternalFault(f"edge {e.entries} escapes the dicing lattice")
-    return lat
 
 
 def certify_second_voronoi(ns: NormalSet) -> VoronoiCertificate:

@@ -8,10 +8,11 @@ everything else uses plain Gauss elimination over Fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateSpan, InternalFault, NotSquare, RankMismatch, Singular
 
@@ -119,6 +120,18 @@ def parallel_ratio(v: RatVector, w: RatVector) -> Fraction | None:
     return _ZERO if c is None else c
 
 
+def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
+    """The lexicographically first index pair i < j of parallel nonzero
+    vectors, or None when all directions differ."""
+    first: dict[tuple[Fraction, ...], int] = {}
+    pairs = []
+    for j, v in enumerate(vectors):
+        i = first.setdefault(canonical_direction(v).entries, j)
+        if i != j:
+            pairs.append((i, j))
+    return min(pairs, default=None)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -217,59 +230,52 @@ def _cleared_rows(m: RatMatrix) -> tuple[list[list[int]], Fraction]:
     return out, factor
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of integer rows, in place.
+
+    Returns the rank, the sign of the row swaps and the last pivot; for a
+    square matrix of full rank, sign * last pivot is the determinant.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    r = 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+    for c in range(ncols):
+        if r == nrows:
+            break
+        if a[r][c] == 0:
+            piv_row = next((i for i in range(r + 1, nrows) if a[i][c] != 0),
+                           None)
+            if piv_row is None:
+                continue
+            a[r], a[piv_row] = a[piv_row], a[r]
             sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * piv - a[i][k] * a[k][j]
-                q, r = divmod(num, prev)
-                if r:
+        top = a[r]
+        piv = top[c]
+        for row in a[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                q, rem = divmod(row[j] * piv - f * top[j], prev)
+                if rem:
                     raise InternalFault("fraction-free elimination not exact")
-                a[i][j] = q
-            a[i][k] = 0
+                row[j] = q
+            row[c] = 0
         prev = piv
-    return sign * a[n - 1][n - 1]
+        r += 1
+    return r, sign, prev
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free."""
+    r, sign, last = _bareiss([row[:] for row in a])
+    return sign * last if r == len(a) else 0
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
     a, _ = _cleared_rows(m)
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
-            continue
-        a[r], a[piv_row] = a[piv_row], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = a[i][j] * piv - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalFault("fraction-free elimination not exact")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = piv
-        r += 1
-    return r
+    return _bareiss(a)[0]
 
 
 def det(m: RatMatrix) -> Fraction:
@@ -284,13 +290,13 @@ def det(m: RatMatrix) -> Fraction:
 # echelon forms, kernels, inverses
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
+def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> tuple[int, ...]:
+    """Reduce rows in place to reduced echelon form, pivoting only in the
+    first ``ncols`` columns; returns the pivot columns."""
+    nrows = len(a)
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
@@ -304,10 +310,16 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
+    return tuple(pivots)
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns."""
+    a = [list(row) for row in m.entries]
+    pivots = _gauss_jordan(a, m.cols)
     if not a:
-        return RatMatrix.from_rows([], cols=ncols), ()
-    return RatMatrix(a), tuple(pivots)
+        return RatMatrix.from_rows([], cols=m.cols), ()
+    return RatMatrix(a), pivots
 
 
 def kernel_basis(m: RatMatrix) -> tuple[RatVector, ...]:
@@ -333,14 +345,34 @@ def kernel_line(m: RatMatrix) -> RatVector:
     The result is canonical: integer entries with content 1 and positive
     first nonzero entry.
     """
-    d = m.cols
-    r = rank(m)
-    if r != d - 1:
-        raise RankMismatch(f"kernel line needs rank {d - 1}, got rank {r}")
     basis = kernel_basis(m)
     if len(basis) != 1:
-        raise InternalFault("kernel of a corank-1 matrix is not a line")
+        raise RankMismatch(f"kernel line needs rank {m.cols - 1}, "
+                           f"got rank {m.cols - len(basis)}")
     return canonical_direction(basis[0])
+
+
+def independent_spans(vectors: Sequence[RatVector], k: int,
+                      kernel: Callable[[RatMatrix], Hashable]
+                      ) -> Iterator[tuple[tuple[int, ...], Hashable]]:
+    """Yield (subset, kernel(m)) once per rank-k span of k of the vectors.
+
+    Index subsets are scanned in lexicographic order and m holds the rows
+    they pick; each span is reported with the first subset spanning it.
+    ``kernel`` must give equal values exactly on equal row spaces, as
+    ``kernel_line`` and ``kernel_basis`` do; that value deduplicates.
+    """
+    dim = vectors[0].dim
+    seen = set()
+    for subset in itertools.combinations(range(len(vectors)), k):
+        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=dim)
+        if rank(m) != k:
+            continue
+        key = kernel(m)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield subset, key
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -350,17 +382,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     n = m.rows
     a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
          for i, row in enumerate(m.entries)]
-    for c in range(n):
-        piv_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv_row is None:
-            raise Singular("matrix is singular")
-        a[c], a[piv_row] = a[piv_row], a[c]
-        piv = a[c][c]
-        a[c] = [e / piv for e in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    if len(_gauss_jordan(a, n)) < n:
+        raise Singular("matrix is singular")
     return RatMatrix([row[n:] for row in a])
 
 

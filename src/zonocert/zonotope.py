@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
-from .ratgeom import (RatMatrix, RatVector, canonical_direction, kernel_basis,
-                      kernel_line, parallel_ratio, rank, rref)
+from .ratgeom import (RatMatrix, RatVector, canonical_direction,
+                      independent_spans, kernel_basis, kernel_line,
+                      parallel_ratio, rank)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -84,16 +85,8 @@ def facets(z: Zonotope) -> tuple[FacetDescriptor, ...]:
     """
     d = z.dimension
     gens = z.generators
-    seen: set[tuple[Fraction, ...]] = set()
     out: list[FacetDescriptor] = []
-    for subset in itertools.combinations(range(len(gens)), d - 1):
-        m = RatMatrix.from_rows([gens[i] for i in subset], cols=d)
-        if rank(m) != d - 1:
-            continue
-        normal = kernel_line(m)
-        if normal.entries in seen:
-            continue
-        seen.add(normal.entries)
+    for _, normal in independent_spans(gens, d - 1, kernel_line):
         products = [normal.dot(g) for g in gens]
         support = sum((abs(p) for p in products), _ZERO) * _HALF
         on_facet = tuple(i for i, p in enumerate(products) if p == 0)
@@ -128,18 +121,8 @@ def ridge_classification(z: Zonotope) -> tuple[RidgeClass, ...]:
     if d < 2:
         raise DimensionTooSmall("ridges need dimension at least 2")
     gens = z.generators
-    seen: set[tuple] = set()
     out: list[RidgeClass] = []
-    for subset in itertools.combinations(range(len(gens)), d - 2):
-        m = RatMatrix.from_rows([gens[i] for i in subset], cols=d)
-        if rank(m) != d - 2:
-            continue
-        reduced, _ = rref(m)
-        key = reduced.entries
-        if key in seen:
-            continue
-        seen.add(key)
-        k1, k2 = kernel_basis(m)
+    for subset, (k1, k2) in independent_spans(gens, d - 2, kernel_basis):
         directions: set[tuple[Fraction, ...]] = set()
         for g in gens:
             image = RatVector([k1.dot(g), k2.dot(g)])

@@ -119,6 +119,18 @@ def test_schema_error_exits_one_with_location(run, tmp_path):
     assert "$.normals[1][1]" in err
 
 
+@pytest.mark.parametrize("weight", ["1" + "0" * 5000, "1/1" + "0" * 5000])
+def test_overlong_rational_exits_one_with_location(run, tmp_path, weight):
+    doc = dict(HEX_DOC)
+    doc["weights"] = [weight, "1", "1"]
+    src = write_doc(tmp_path, "long.json", doc)
+    code, out, err = run("edges", src)
+    assert code == 1
+    assert out == ""
+    assert "$.weights[0]" in err
+    assert "Traceback" not in err
+
+
 def test_edges_verb_round_trip(run, tmp_path):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
     code, out, _ = run("edges", src)

@@ -38,6 +38,14 @@ def test_rational_parsing_rejects_zero_denominator():
         jsonio.parse_rational("2/0", "x")
 
 
+@pytest.mark.parametrize("text", ["-1" + "0" * 5000, "1/1" + "0" * 5000])
+def test_rational_parsing_rejects_overlong_integers(text):
+    # beyond Python's int-string limit for numerator and denominator
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_rational(text, "$.weights[0]")
+    assert info.value.location == "$.weights[0]"
+
+
 # ---------------------------------------------------------------------------
 # document round trips
 

@@ -12,7 +12,8 @@ from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
                       kernel_basis, kernel_line, lattice_contains,
                       lattice_coordinates, rank, rref, same_lattice, solve)
 from zonocert.errors import (DegenerateSpan, NotSquare, RankMismatch, Singular)
-from zonocert.ratgeom import parallel_ratio
+from zonocert.ratgeom import (_bareiss_det, _cleared_rows, first_parallel_pair,
+                              independent_spans, parallel_ratio)
 
 from conftest import mat, vec
 
@@ -57,9 +58,14 @@ def test_rank_identity():
     assert rank(RatMatrix.identity(2)) == 2
 
 
+# rank 2, determinant 0: column 1 has no pivot, column 2 has one after it
+SKIPPED_PIVOT = [[1, 2, 0], [2, 4, 1], [0, 0, 1]]
+
+
 def test_rank_dependent_columns():
     m = RatMatrix.from_columns([vec(1, 0), vec(0, 1), vec(1, 1)])
     assert rank(m) == 2
+    assert rank(mat(SKIPPED_PIVOT)) == 2
 
 
 def test_rank_zero_matrix():
@@ -117,6 +123,63 @@ def test_kernel_basis_spans_nullspace(rows):
 
 
 # ---------------------------------------------------------------------------
+# span enumeration
+
+
+def spans(rows, k, kernel=kernel_line):
+    return list(independent_spans([vec(*r) for r in rows], k, kernel))
+
+
+def test_spans_keep_the_first_subset_of_each_span():
+    # rows 0, 1 and 2 all lie in the plane z = 0
+    got = spans([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], 2)
+    assert [subset for subset, _ in got] == [(0, 1), (0, 3), (1, 3), (2, 3)]
+    assert got[0][1] == vec(0, 0, 1)
+
+
+def test_spans_skip_rank_deficient_subsets():
+    got = spans([[1, 2], [2, 4], [0, 1]], 2, kernel_basis)
+    assert [subset for subset, _ in got] == [(0, 2)]
+    assert got[0][1] == ()
+
+
+def test_spans_deduplicate_parallel_rows():
+    got = spans([[1, 1], [2, 2], [1, -1], ["-1/2", "1/2"]], 1)
+    assert got == [((0,), vec(1, -1)), ((2,), vec(1, 1))]
+
+
+def test_spans_of_size_zero_are_one_empty_subset():
+    got = spans([[1, 0], [0, 1]], 0, kernel_basis)
+    assert got == [((), (vec(1, 0), vec(0, 1)))]
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2).map(Fraction), min_size=d,
+                          max_size=d), min_size=1, max_size=6),
+        st.integers(0, d))))
+def test_spans_match_grouping_by_row_space(data):
+    rows, k = data
+    vectors = [vec(*r) for r in rows]
+    first: dict = {}
+    for subset in itertools.combinations(range(len(rows)), k):
+        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=len(rows[0]))
+        if minor_rank([list(r) for r in m.entries] or [[0]]) == k:
+            first.setdefault(rref(m)[0].entries, subset)
+    got = [subset for subset, _ in
+           independent_spans(vectors, k, kernel_basis)]
+    assert got == sorted(first.values())
+
+
+def test_first_parallel_pair_in_combinations_order():
+    vectors = [vec(1, 0), vec(0, 1), vec(0, -3), vec(2, 0), vec(1, 1)]
+    assert first_parallel_pair(vectors) == (0, 3)
+    assert first_parallel_pair(vectors[1:]) == (0, 1)
+    assert first_parallel_pair([vec(1, 0), vec(1, 1)]) is None
+
+
+# ---------------------------------------------------------------------------
 # determinants and inverses
 
 
@@ -141,6 +204,8 @@ def test_det_rejects_rectangular():
 @given(st.integers(1, 4).flatmap(lambda n: matrix_rows(n, n)))
 def test_det_matches_cofactor_expansion(rows):
     assert det(mat(rows)) == naive_det(rows)
+    ints, factor = _cleared_rows(mat(rows))
+    assert _bareiss_det(ints) == naive_det(ints) == det(mat(rows)) * factor
 
 
 def test_inverse_identity():
@@ -158,8 +223,10 @@ def test_inverse_skew():
 
 
 def test_inverse_singular():
-    with pytest.raises(Singular):
-        inverse(mat([[1, 1], [1, 1]]))
+    for rows in ([[1, 1], [1, 1]], SKIPPED_PIVOT):
+        assert det(mat(rows)) == 0
+        with pytest.raises(Singular):
+            inverse(mat(rows))
 
 
 @settings(max_examples=60)
