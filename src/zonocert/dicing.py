@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
 from .ratgeom import (RatMatrix, RatVector, _bareiss_det, first_parallel_pair,
-                      independent_spans, inverse, kernel_line, rank,
+                      independent_spans, inverse, kernel_line, rank, rref,
                       unit_vector)
 
 
@@ -128,16 +128,12 @@ class DicingRep:
 
 
 def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
-    """Indices of the first d normals forming a basis, scanned greedily."""
-    picked: list[int] = []
-    for i in range(len(ns.normals)):
-        trial = picked + [i]
-        m = RatMatrix.from_rows([ns.normals[j] for j in trial], cols=ns.dimension)
-        if rank(m) == len(trial):
-            picked.append(i)
-        if len(picked) == ns.dimension:
-            return tuple(picked)
-    raise InvalidNormalSet("normals do not span the space")
+    """Indices of the first d independent normals: the pivot columns of
+    the matrix whose columns are the normals."""
+    pivots = rref(RatMatrix.from_columns(ns.normals))[1]
+    if len(pivots) != ns.dimension:
+        raise InvalidNormalSet("normals do not span the space")
+    return pivots
 
 
 def dual_edge_indices(ns: NormalSet, es: EdgeSet,

@@ -81,6 +81,14 @@ def _field(doc: dict, key: str, location: str):
     return doc[key]
 
 
+def _parse_indices(obj, location: str) -> tuple[int, ...]:
+    """A list of JSON integers; booleans, floats and strings are refused."""
+    obj = _expect_list(obj, location)
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in obj):
+        raise SchemaError(location, "expected integer indices")
+    return tuple(obj)
+
+
 def _parse_dim(doc: dict, location: str) -> int:
     dim = _field(doc, "dim", location)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -146,14 +154,8 @@ def parse_edge_set(doc, location: str = "$") -> EdgeSet:
              for k, v in enumerate(edges_raw)]
     prov_raw = _expect_list(_field(doc, "provenance", location),
                             f"{location}.provenance")
-    provenance = []
-    for k, sub in enumerate(prov_raw):
-        sub = _expect_list(sub, f"{location}.provenance[{k}]")
-        for i in sub:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise SchemaError(f"{location}.provenance[{k}]",
-                                  "expected integer indices")
-        provenance.append(tuple(sub))
+    provenance = [_parse_indices(sub, f"{location}.provenance[{k}]")
+                  for k, sub in enumerate(prov_raw)]
     return EdgeSet(dim, edges, provenance)
 
 
@@ -217,14 +219,23 @@ def certificate_to_json(cert: VoronoiCertificate, verified: bool) -> dict:
     }
 
 
+def _parse_part(doc: dict, key: str, parse, dim: int, location: str):
+    """Parse the sub-document ``key``, which must have dimension ``dim``."""
+    loc = f"{location}.{key}"
+    sub = _expect_object(_field(doc, key, location), loc)
+    if _parse_dim(sub, loc) != dim:
+        raise SchemaError(f"{loc}.dim",
+                          f"expected the certificate dimension {dim}")
+    return parse(sub, loc)
+
+
 def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, bool]:
     doc = _expect_object(doc, location)
     _check_schema(doc, location)
     dim = _parse_dim(doc, location)
-    ns = parse_normal_set(_field(doc, "normal_set", location),
-                          f"{location}.normal_set")
-    es = parse_edge_set(_field(doc, "edge_set", location), f"{location}.edge_set")
-    z = parse_zonotope(_field(doc, "zonotope", location), f"{location}.zonotope")
+    ns = _parse_part(doc, "normal_set", parse_normal_set, dim, location)
+    es = _parse_part(doc, "edge_set", parse_edge_set, dim, location)
+    z = _parse_part(doc, "zonotope", parse_zonotope, dim, location)
     fv_doc = _expect_object(_field(doc, "facet_vectors", location),
                             f"{location}.facet_vectors")
     vectors = [parse_vector(v, f"{location}.facet_vectors.vectors[{k}]", dim)
@@ -232,27 +243,20 @@ def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, boo
                    _expect_list(_field(fv_doc, "vectors",
                                        f"{location}.facet_vectors"),
                                 f"{location}.facet_vectors.vectors"))]
-    link_raw = _expect_list(_field(fv_doc, "facet_link",
-                                   f"{location}.facet_vectors"),
-                            f"{location}.facet_vectors.facet_link")
-    fv = FacetVectorSet(tuple(vectors), tuple(int(i) for i in link_raw))
+    link = _parse_indices(_field(fv_doc, "facet_link",
+                                 f"{location}.facet_vectors"),
+                          f"{location}.facet_vectors.facet_link")
+    fv = FacetVectorSet(tuple(vectors), link)
     bij = []
     for k, item in enumerate(_expect_list(_field(doc, "ne_bijection", location),
                                           f"{location}.ne_bijection")):
-        item = _expect_object(item, f"{location}.ne_bijection[{k}]")
-        try:
-            bij.append((int(item["edge"]), int(item["vector"]),
-                        int(item["sign"])))
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{location}.ne_bijection[{k}]",
-                              "expected edge/vector/sign integers")
-    lat = parse_lattice(_field(doc, "lattice", location), f"{location}.lattice")
-    idx_raw = _expect_list(_field(doc, "basis_indices", location),
-                           f"{location}.basis_indices")
-    for i in idx_raw:
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise SchemaError(f"{location}.basis_indices",
-                              "expected integer indices")
+        loc = f"{location}.ne_bijection[{k}]"
+        item = _expect_object(item, loc)
+        bij.append(_parse_indices([item.get(key) for key in
+                                   ("edge", "vector", "sign")], loc))
+    lat = _parse_part(doc, "lattice", parse_lattice, dim, location)
+    idx = _parse_indices(_field(doc, "basis_indices", location),
+                         f"{location}.basis_indices")
     determinant = parse_rational(_field(doc, "det", location), f"{location}.det")
     verified = _field(doc, "verified", location)
     if not isinstance(verified, bool):
@@ -260,7 +264,7 @@ def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, boo
     cert = VoronoiCertificate(
         normal_set=ns, edge_set=es, zonotope=z, facet_vectors=fv,
         ne_bijection=tuple(bij), lattice=lat,
-        basis_indices=tuple(idx_raw), lattice_coordinate_det=determinant)
+        basis_indices=idx, lattice_coordinate_det=determinant)
     return cert, verified
 
 

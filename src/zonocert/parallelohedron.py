@@ -304,17 +304,18 @@ def _short_vectors(lattice: LatticeBasis, q: QuadraticForm,
     return found
 
 
-def _cell_data(lattice: LatticeBasis, q: QuadraticForm,
-               radius_multiplier: Fraction) -> tuple[list[RatVector], list[RatVector]]:
-    """Vertices of the DV cell plus the enumerated lattice neighbors.
+def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fraction
+               ) -> list[tuple[RatVector, tuple[RatVector, ...]]]:
+    """Vertices of the DV cell, each with its equidistant lattice points.
 
     Enumerates lattice vectors up to a radius, prunes half-space
     constraints that are implied by a two-term decomposition, intersects
     the surviving constraints, and refuses to answer unless the result is
     provably complete: the enumerated set must span, every vertex must be
-    equidistant to at least d+1 lattice points, and the enumeration
-    radius must cover four times the largest vertex norm, which by the
-    Cauchy-Schwarz bound rules out any forgotten constraint.
+    equidistant to at least d+1 lattice points and to none closer, and
+    the enumeration radius must cover four times the largest vertex norm,
+    which by the Cauchy-Schwarz bound rules out any forgotten constraint.
+    Vertices and their equidistant points (origin included) are sorted.
     """
     d = lattice.dimension
     if d > 3:
@@ -379,22 +380,25 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm,
     # farther from any vertex x than the origin, so the 4*peak ball holds
     # every point that can tie or beat a vertex, and it is fully
     # enumerated by the guard above.
-    near = [(lam, phi) for lam, phi in enumerated if phi <= 4 * peak]
+    near = [lam for lam, phi in enumerated if phi <= 4 * peak]
+    cells = []
     for x in vertices:
         base_val = q.value(x)
-        equidistant = 1  # the origin
-        for lam, _ in near:
+        equidistant = [zero_vector(d)]
+        for lam in near:
             diff = q.value(x - lam)
             if diff < base_val:
                 raise InternalFault("cell vertex closer to a nonzero lattice point")
             if diff == base_val:
-                equidistant += 1
-        if equidistant < d + 1:
+                equidistant.append(lam)
+        if len(equidistant) < d + 1:
             raise EnumerationInsufficient(
-                f"vertex {x.entries} is equidistant to only {equidistant} "
+                f"vertex {x.entries} is equidistant to only {len(equidistant)} "
                 "lattice points; increase the radius multiplier")
-    vertices.sort(key=lambda v: v.entries)
-    return vertices, sorted((lam for lam, _ in near), key=lambda v: v.entries)
+        equidistant.sort(key=lambda v: v.entries)
+        cells.append((x, tuple(equidistant)))
+    cells.sort(key=lambda cell: cell[0].entries)
+    return cells
 
 
 def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm,
@@ -407,8 +411,7 @@ def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm,
     by the multiplier; if that provably cannot bound the cell the oracle
     raises EnumerationInsufficient rather than guessing.
     """
-    vertices, _ = _cell_data(lattice, q, Fraction(radius_multiplier))
-    return tuple(vertices)
+    return tuple(x for x, _ in _cell_data(lattice, q, Fraction(radius_multiplier)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,29 +440,16 @@ def delone_duality_check(ns: NormalSet,
     Each vertex of the DV cell must be equidistant, in the dicing form,
     to at least d+1 lattice points that affinely span the space, with no
     lattice point strictly closer, and each such point must lie on a
-    hyperplane of every family.  Violations raise DualityViolation.
+    hyperplane of every family.  The cell oracle enforces the count and
+    the distances; the span and family checks raise DualityViolation.
     """
     d = ns.dimension
     if d > 3:
         raise DimensionTooLarge("duality check supports dimension at most 3")
     lat = lattice_of_dicing(ns)
     q = quadratic_form(ns)
-    vertices, neighbors = _cell_data(lat, q, Fraction(radius_multiplier))
     out = []
-    for x in vertices:
-        radius = q.value(x)
-        equidistant = [zero_vector(d)]
-        for lam in neighbors:
-            val = q.value(x - lam)
-            if val < radius:
-                raise DualityViolation(
-                    f"vertex {x.entries} has a closer lattice point {lam.entries}")
-            if val == radius:
-                equidistant.append(lam)
-        if len(equidistant) < d + 1:
-            raise DualityViolation(
-                f"vertex {x.entries} is equidistant to only "
-                f"{len(equidistant)} lattice points")
+    for x, equidistant in _cell_data(lat, q, Fraction(radius_multiplier)):
         diffs = [p - equidistant[0] for p in equidistant[1:]]
         if rank(RatMatrix.from_rows(diffs, cols=d)) != d:
             raise DualityViolation(
@@ -469,8 +459,7 @@ def delone_duality_check(ns: NormalSet,
                 if v.dot(p).denominator != 1:
                     raise DualityViolation(
                         f"equidistant point {p.entries} misses family {k}")
-        equidistant.sort(key=lambda v: v.entries)
-        out.append(VertexDuality(x, tuple(equidistant), radius))
+        out.append(VertexDuality(x, equidistant, q.value(x)))
     return DualityReport(d, tuple(out))
 
 

@@ -2,8 +2,9 @@
 
 Vectors and matrices store ``fractions.Fraction`` entries, so every rank,
 determinant, kernel, and Hermite form below is computed without rounding.
-Rank and determinant run fraction-free (Bareiss) on integer-cleared rows;
-everything else uses plain Gauss elimination over Fraction.
+Rank, determinant, reduced echelon form, kernels and inverses all come
+from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
+rows; only the Hermite form has its own integer column reduction.
 """
 
 from __future__ import annotations
@@ -218,30 +219,36 @@ class RatMatrix:
 # fraction-free elimination
 
 
-def _cleared_rows(m: RatMatrix) -> tuple[list[list[int]], Fraction]:
+def _cleared_rows(rows: Iterable[Sequence[Fraction]]
+                  ) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns integer rows and the product
     of the scaling factors (for determinant correction)."""
     out = []
-    factor = _ONE
-    for row in m.entries:
+    factor = 1
+    for row in rows:
         den = math.lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * den) for e in row])
+        out.append([e.numerator * (den // e.denominator) for e in row])
         factor *= den
     return out, factor
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination of integer rows, in place.
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Returns the rank, the sign of the row swaps and the last pivot; for a
-    square matrix of full rank, sign * last pivot is the determinant.
+    Each pivot clears its column above and below; every division by the
+    previous pivot is exact (Bareiss).  Returns the rank, the sign of the
+    row swaps, the last pivot p and the pivot columns.  Afterwards every
+    pivot row holds p in its pivot column and 0 in the other pivot
+    columns, so the rows divided by p are the reduced echelon form, and
+    for a square matrix of full rank sign * p is the determinant.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    r = 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         if a[r][c] == 0:
@@ -253,28 +260,31 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
             sign = -sign
         top = a[r]
         piv = top[c]
-        for row in a[r + 1:]:
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            # rows above start at their own pivot, rows below at column c;
+            # everything left of that is already 0
+            lo = pivots[i] if i < r else c
             f = row[c]
-            for j in range(c + 1, ncols):
-                q, rem = divmod(row[j] * piv - f * top[j], prev)
-                if rem:
-                    raise InternalFault("fraction-free elimination not exact")
-                row[j] = q
-            row[c] = 0
+            new = [x * piv - f * t for x, t in zip(row[lo:], top[lo:])]
+            if any(x % prev for x in new):
+                raise InternalFault("fraction-free elimination not exact")
+            row[lo:] = [x // prev for x in new]
         prev = piv
-        r += 1
-    return r, sign, prev
+        pivots.append(c)
+    return len(pivots), sign, prev, tuple(pivots)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
     """Determinant of a square integer matrix, fraction-free."""
-    r, sign, last = _bareiss([row[:] for row in a])
+    r, sign, last, _ = _bareiss([row[:] for row in a])
     return sign * last if r == len(a) else 0
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    a, _ = _cleared_rows(m)
+    a, _ = _cleared_rows(m.entries)
     return _bareiss(a)[0]
 
 
@@ -282,44 +292,21 @@ def det(m: RatMatrix) -> Fraction:
     """Exact determinant; raises NotSquare for rectangular input."""
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
-    a, factor = _cleared_rows(m)
-    return Fraction(_bareiss_det(a)) / factor
+    a, factor = _cleared_rows(m.entries)
+    return Fraction(_bareiss_det(a), factor)
 
 
 # ---------------------------------------------------------------------------
 # echelon forms, kernels, inverses
 
 
-def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> tuple[int, ...]:
-    """Reduce rows in place to reduced echelon form, pivoting only in the
-    first ``ncols`` columns; returns the pivot columns."""
-    nrows = len(a)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv_row is None:
-            continue
-        a[r], a[piv_row] = a[piv_row], a[r]
-        piv = a[r][c]
-        a[r] = [e / piv for e in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return tuple(pivots)
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    a = [list(row) for row in m.entries]
-    pivots = _gauss_jordan(a, m.cols)
-    if not a:
+    if not m.entries:
         return RatMatrix.from_rows([], cols=m.cols), ()
-    return RatMatrix(a), pivots
+    a, _ = _cleared_rows(m.entries)
+    _, _, p, pivots = _bareiss(a)
+    return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
 
 
 def kernel_basis(m: RatMatrix) -> tuple[RatVector, ...]:
@@ -376,15 +363,20 @@ def independent_spans(vectors: Sequence[RatVector], k: int,
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises Singular when det is 0."""
+    """Exact inverse; raises Singular when det is 0.
+
+    Elimination turns the cleared rows of [m | I] into [p I | p m^-1]
+    exactly when the pivots are the first n columns.
+    """
     if m.rows != m.cols:
         raise NotSquare(f"inverse of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    if len(_gauss_jordan(a, n)) < n:
+    a, _ = _cleared_rows(row + tuple(_ONE if i == j else _ZERO for j in range(n))
+                         for i, row in enumerate(m.entries))
+    _, _, p, pivots = _bareiss(a)
+    if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
-    return RatMatrix([row[n:] for row in a])
+    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
 
 
 def solve(m: RatMatrix, b: RatVector) -> RatVector:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zonocert import (NormalSet, RatMatrix, apply_affine, compute_edge_set,
                       det, first_basis_indices, hnf_lattice_basis, inverse,
@@ -261,3 +263,36 @@ def test_affine_preserves_pairings():
 def test_first_basis_indices_skips_dependent_prefix():
     ns = normal_set([(1, 1, 0), (2, 2, 1), (1, 1, 1), (0, 1, 0)])
     assert first_basis_indices(ns) == (0, 1, 3)
+
+
+def greedy_basis(ns):
+    """First d normals, each independent of the ones picked before it."""
+    picked = []
+    for i, v in enumerate(ns.normals):
+        if rank(RatMatrix.from_rows([ns.normals[j] for j in picked] + [v])) \
+                == len(picked) + 1:
+            picked.append(i)
+    return tuple(picked[:ns.dimension])
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                 min_size=2, max_size=6),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                 max_size=3))))
+def test_first_basis_indices_is_the_greedy_basis(data):
+    rows, sums = data
+    # the third normal is dependent on the first two, and later sums of
+    # earlier normals add more dependent ones
+    rows = rows[:2] + [[a + b for a, b in zip(*rows[:2])]] + rows[2:]
+    for i, j in sums:
+        rows.append([a + b for a, b in zip(rows[i % len(rows)],
+                                           rows[j % len(rows)])])
+    try:
+        ns = normal_set(rows)
+    except InvalidNormalSet:
+        assume(False)
+    assert first_basis_indices(ns) == greedy_basis(ns)
+    assert 2 not in first_basis_indices(ns)

@@ -151,6 +151,58 @@ def test_error_for_non_object():
         jsonio.parse_normal_set([])
 
 
+def hexagonal_certificate_doc():
+    return jsonio.certificate_to_json(
+        certify_second_voronoi(normal_set(HEXAGONAL)), verified=True)
+
+
+@pytest.mark.parametrize("bad", [["x"], 0.9, "0", True, None])
+def test_certificate_refuses_non_integer_facet_link(bad):
+    doc = hexagonal_certificate_doc()
+    doc["facet_vectors"]["facet_link"][1] = bad
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == "$.facet_vectors.facet_link"
+
+
+@pytest.mark.parametrize("key", ["edge", "vector", "sign"])
+@pytest.mark.parametrize("bad", [["x"], 0.9, "0", True])
+def test_certificate_refuses_non_integer_bijection(key, bad):
+    # 0.9 must not be read as index 0, which would make a valid certificate
+    doc = hexagonal_certificate_doc()
+    doc["ne_bijection"][0][key] = bad
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == "$.ne_bijection[0]"
+
+
+def test_certificate_refuses_bijection_without_sign():
+    doc = hexagonal_certificate_doc()
+    del doc["ne_bijection"][2]["sign"]
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == "$.ne_bijection[2]"
+
+
+@pytest.mark.parametrize("key", ["normal_set", "edge_set", "zonotope",
+                                 "lattice"])
+def test_certificate_refuses_sub_document_of_other_dimension(key):
+    doc = hexagonal_certificate_doc()
+    doc[key] = jsonio.certificate_to_json(
+        certify_second_voronoi(normal_set(RHOMBIC)), verified=True)[key]
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == f"$.{key}.dim"
+
+
+def test_certificate_refuses_non_integer_basis_indices():
+    doc = hexagonal_certificate_doc()
+    doc["basis_indices"][0] = 1.0
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == "$.basis_indices"
+
+
 # ---------------------------------------------------------------------------
 # payload detection
 

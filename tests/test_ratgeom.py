@@ -122,6 +122,19 @@ def test_kernel_basis_spans_nullspace(rows):
         assert (m @ v).is_zero()
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 5).flatmap(lambda c: matrix_rows(r, c))))
+def test_kernel_basis_is_one_unit_vector_per_free_column(rows):
+    m = mat(rows)
+    pivots = rref(m)[1]
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = kernel_basis(m)
+    assert len(basis) == len(free)
+    for v, own in zip(basis, free):
+        assert [v[c] for c in free] == [1 if c == own else 0 for c in free]
+
+
 # ---------------------------------------------------------------------------
 # span enumeration
 
@@ -204,7 +217,7 @@ def test_det_rejects_rectangular():
 @given(st.integers(1, 4).flatmap(lambda n: matrix_rows(n, n)))
 def test_det_matches_cofactor_expansion(rows):
     assert det(mat(rows)) == naive_det(rows)
-    ints, factor = _cleared_rows(mat(rows))
+    ints, factor = _cleared_rows(mat(rows).entries)
     assert _bareiss_det(ints) == naive_det(ints) == det(mat(rows)) * factor
 
 
@@ -255,6 +268,34 @@ def test_rref_reports_pivots():
     reduced, pivots = rref(mat([[1, 2, 3], [2, 4, 6]]))
     assert pivots == (0,)
     assert reduced == mat([[1, 2, 3], [0, 0, 0]])
+    reduced, pivots = rref(mat(SKIPPED_PIVOT))
+    assert pivots == (0, 2)
+    assert reduced == mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
+    assert kernel_basis(mat(SKIPPED_PIVOT)) == (vec(-2, 1, 0),)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.one_of(matrix_rows(r, c),
+                            matrix_rows(r, c, st.integers(-2, 2).map(Fraction))))))
+def test_rref_is_the_reduced_echelon_form_of_the_row_space(rows):
+    reduced, pivots = rref(mat(rows))
+    ents = reduced.entries
+    k = len(pivots)
+    assert k == minor_rank(rows)
+    assert list(pivots) == sorted(set(pivots))
+    for r, p in enumerate(pivots):
+        # unit pivot, zeros left of it, and a unit pivot column
+        assert ents[r][p] == 1 and not any(ents[r][:p])
+        assert [row[p] for row in ents] == [int(i == r) for i in range(len(ents))]
+    assert all(not any(row) for row in ents[k:])
+    # every input row is the combination of the pivot rows given by its
+    # pivot-column entries, so with k = rank both row spaces coincide
+    for row in rows:
+        combo = [sum((row[p] * ents[r][j] for r, p in enumerate(pivots)),
+                     Fraction(0)) for j in range(len(row))]
+        assert combo == list(row)
 
 
 # ---------------------------------------------------------------------------
