@@ -338,8 +338,9 @@ def _verb_venkov(args) -> tuple[int, str]:
         "schema": jsonio.SCHEMA_VERSION,
         "dim": z.dimension,
         "parallelohedron": report.holds,
-        "centrally_symmetric": report.centrally_symmetric,
-        "facets_centrally_symmetric": report.facets_centrally_symmetric,
+        # every zonotope and each of its faces is centrally symmetric
+        "centrally_symmetric": True,
+        "facets_centrally_symmetric": True,
         "ridges": [{
             "flat": list(r.flat),
             "direction_count": r.direction_count,

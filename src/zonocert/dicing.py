@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (RatMatrix, RatVector, _bareiss_det, first_parallel_pair,
-                      independent_spans, inverse, kernel_line, rank, rref,
-                      unit_vector)
+from .ratgeom import (RatMatrix, RatVector, _bareiss_det, _cleared_rows,
+                      first_parallel_pair, independent_spans, inverse,
+                      kernel_line, rank, rref, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,9 @@ def is_totally_unimodular(m: RatMatrix) -> bool:
     Exponential in the matrix size; meant for the desk scale this package
     targets.  Raises NonIntegerEntries when some entry is fractional.
     """
-    for row in m.entries:
-        for e in row:
-            if e.denominator != 1:
-                raise NonIntegerEntries("total unimodularity needs integer entries")
-    ints = [[int(e) for e in row] for row in m.entries]
+    ints, factor = _cleared_rows(m.entries)
+    if factor != 1:
+        raise NonIntegerEntries("total unimodularity needs integer entries")
     for k in range(1, min(m.rows, m.cols) + 1):
         for rows_sub in itertools.combinations(range(m.rows), k):
             for cols_sub in itertools.combinations(range(m.cols), k):

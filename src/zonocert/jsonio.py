@@ -96,11 +96,21 @@ def _parse_dim(doc: dict, location: str) -> int:
     return dim
 
 
-def _check_schema(doc: dict, location: str):
+def _header(doc, location: str) -> tuple[dict, int]:
+    """The object, schema and dim checks every v1 document starts with."""
+    doc = _expect_object(doc, location)
     if "schema" in doc and doc["schema"] != SCHEMA_VERSION:
         raise SchemaError(f"{location}.schema",
                           f"unsupported schema {doc['schema']!r}, "
                           f"expected {SCHEMA_VERSION!r}")
+    return doc, _parse_dim(doc, location)
+
+
+def _vectors(doc: dict, key: str, location: str, dim: int) -> list[RatVector]:
+    """The list field ``key`` of vectors with ``dim`` entries each."""
+    loc = f"{location}.{key}"
+    raw = _expect_list(_field(doc, key, location), loc)
+    return [parse_vector(v, f"{loc}[{k}]", dim) for k, v in enumerate(raw)]
 
 
 def dumps(doc) -> str:
@@ -122,13 +132,8 @@ def normal_set_to_json(ns: NormalSet) -> dict:
 
 
 def parse_normal_set(doc, location: str = "$") -> NormalSet:
-    doc = _expect_object(doc, location)
-    _check_schema(doc, location)
-    dim = _parse_dim(doc, location)
-    normals_raw = _expect_list(_field(doc, "normals", location),
-                               f"{location}.normals")
-    normals = [parse_vector(v, f"{location}.normals[{k}]", dim)
-               for k, v in enumerate(normals_raw)]
+    doc, dim = _header(doc, location)
+    normals = _vectors(doc, "normals", location, dim)
     weights_raw = _expect_list(_field(doc, "weights", location),
                                f"{location}.weights")
     weights = [parse_rational(w, f"{location}.weights[{k}]")
@@ -146,12 +151,8 @@ def edge_set_to_json(es: EdgeSet) -> dict:
 
 
 def parse_edge_set(doc, location: str = "$") -> EdgeSet:
-    doc = _expect_object(doc, location)
-    _check_schema(doc, location)
-    dim = _parse_dim(doc, location)
-    edges_raw = _expect_list(_field(doc, "edges", location), f"{location}.edges")
-    edges = [parse_vector(v, f"{location}.edges[{k}]", dim)
-             for k, v in enumerate(edges_raw)]
+    doc, dim = _header(doc, location)
+    edges = _vectors(doc, "edges", location, dim)
     prov_raw = _expect_list(_field(doc, "provenance", location),
                             f"{location}.provenance")
     provenance = [_parse_indices(sub, f"{location}.provenance[{k}]")
@@ -168,14 +169,8 @@ def zonotope_to_json(z: Zonotope) -> dict:
 
 
 def parse_zonotope(doc, location: str = "$") -> Zonotope:
-    doc = _expect_object(doc, location)
-    _check_schema(doc, location)
-    dim = _parse_dim(doc, location)
-    gens_raw = _expect_list(_field(doc, "generators", location),
-                            f"{location}.generators")
-    gens = [parse_vector(v, f"{location}.generators[{k}]", dim)
-            for k, v in enumerate(gens_raw)]
-    return Zonotope(dim, gens)
+    doc, dim = _header(doc, location)
+    return Zonotope(dim, _vectors(doc, "generators", location, dim))
 
 
 def lattice_to_json(lat: LatticeBasis) -> dict:
@@ -187,16 +182,13 @@ def lattice_to_json(lat: LatticeBasis) -> dict:
 
 
 def parse_lattice(doc, location: str = "$") -> LatticeBasis:
-    doc = _expect_object(doc, location)
-    _check_schema(doc, location)
-    dim = _parse_dim(doc, location)
-    basis_raw = _expect_list(_field(doc, "basis", location), f"{location}.basis")
-    if len(basis_raw) != dim:
+    doc, dim = _header(doc, location)
+    count = len(_expect_list(_field(doc, "basis", location), f"{location}.basis"))
+    if count != dim:
         raise SchemaError(f"{location}.basis",
-                          f"expected {dim} basis vectors, got {len(basis_raw)}")
-    cols = [parse_vector(v, f"{location}.basis[{k}]", dim)
-            for k, v in enumerate(basis_raw)]
-    return LatticeBasis(RatMatrix.from_columns(cols))
+                          f"expected {dim} basis vectors, got {count}")
+    return LatticeBasis(RatMatrix.from_columns(
+        _vectors(doc, "basis", location, dim)))
 
 
 def certificate_to_json(cert: VoronoiCertificate, verified: bool) -> dict:
@@ -208,7 +200,7 @@ def certificate_to_json(cert: VoronoiCertificate, verified: bool) -> dict:
         "zonotope": zonotope_to_json(cert.zonotope),
         "facet_vectors": {
             "vectors": [vector_to_json(v) for v in cert.facet_vectors.vectors],
-            "facet_link": list(cert.facet_vectors.facet_link),
+            "facet_link": list(range(len(cert.facet_vectors.vectors))),
         },
         "ne_bijection": [{"edge": i, "vector": j, "sign": s}
                          for i, j, s in cert.ne_bijection],
@@ -230,23 +222,20 @@ def _parse_part(doc: dict, key: str, parse, dim: int, location: str):
 
 
 def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, bool]:
-    doc = _expect_object(doc, location)
-    _check_schema(doc, location)
-    dim = _parse_dim(doc, location)
+    doc, dim = _header(doc, location)
     ns = _parse_part(doc, "normal_set", parse_normal_set, dim, location)
     es = _parse_part(doc, "edge_set", parse_edge_set, dim, location)
     z = _parse_part(doc, "zonotope", parse_zonotope, dim, location)
-    fv_doc = _expect_object(_field(doc, "facet_vectors", location),
-                            f"{location}.facet_vectors")
-    vectors = [parse_vector(v, f"{location}.facet_vectors.vectors[{k}]", dim)
-               for k, v in enumerate(
-                   _expect_list(_field(fv_doc, "vectors",
-                                       f"{location}.facet_vectors"),
-                                f"{location}.facet_vectors.vectors"))]
-    link = _parse_indices(_field(fv_doc, "facet_link",
-                                 f"{location}.facet_vectors"),
-                          f"{location}.facet_vectors.facet_link")
-    fv = FacetVectorSet(tuple(vectors), link)
+    fv_loc = f"{location}.facet_vectors"
+    fv_doc = _expect_object(_field(doc, "facet_vectors", location), fv_loc)
+    vectors = tuple(_vectors(fv_doc, "vectors", fv_loc, dim))
+    # facet vector k belongs to facet pair k, as written
+    if _parse_indices(_field(fv_doc, "facet_link", fv_loc),
+                      f"{fv_loc}.facet_link") != tuple(range(len(vectors))):
+        raise SchemaError(f"{fv_loc}.facet_link",
+                          f"expected 0..n-1 for the n = {len(vectors)} "
+                          "facet vectors")
+    fv = FacetVectorSet(vectors)
     bij = []
     for k, item in enumerate(_expect_list(_field(doc, "ne_bijection", location),
                                           f"{location}.ne_bijection")):

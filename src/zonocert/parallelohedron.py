@@ -118,10 +118,9 @@ def lattice_of_dicing(ns: NormalSet) -> LatticeBasis:
 
 @dataclass(frozen=True)
 class FacetVectorSet:
-    """One lattice vector per facet pair; facet_link[k] indexes facets()."""
+    """One lattice vector per facet pair, in the order of facets()."""
 
     vectors: tuple[RatVector, ...]
-    facet_link: tuple[int, ...]
 
 
 def _facet_vectors_from(q: QuadraticForm, lattice: LatticeBasis,
@@ -142,7 +141,7 @@ def _facet_vectors_from(q: QuadraticForm, lattice: LatticeBasis,
             raise NotInLattice(
                 f"facet vector {lam.entries} is not a lattice point")
         vectors.append(lam)
-    return FacetVectorSet(tuple(vectors), tuple(range(len(facet_list))))
+    return FacetVectorSet(tuple(vectors))
 
 
 def facet_vectors(ns: NormalSet) -> FacetVectorSet:

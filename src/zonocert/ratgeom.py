@@ -4,7 +4,9 @@ Vectors and matrices store ``fractions.Fraction`` entries, so every rank,
 determinant, kernel, and Hermite form below is computed without rounding.
 Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
-rows; only the Hermite form has its own integer column reduction.
+rows; kernels are read off its integer rows as integer vectors, with no
+rational echelon form in between.  Only the Hermite form has its own
+integer column reduction.
 """
 
 from __future__ import annotations
@@ -91,34 +93,8 @@ def unit_vector(dim: int, i: int) -> RatVector:
 
 def canonical_direction(v: RatVector) -> RatVector:
     """Scale a nonzero vector to integer entries, content 1, first nonzero positive."""
-    if v.is_zero():
-        raise ValueError("cannot canonicalize the zero vector")
-    den = math.lcm(*(e.denominator for e in v.entries))
-    ints = [int(e * den) for e in v.entries]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return RatVector(ints)
-
-
-def parallel_ratio(v: RatVector, w: RatVector) -> Fraction | None:
-    """Return c with v == c*w, or None when v is not a multiple of w."""
-    if w.is_zero():
-        raise ValueError("reference vector is zero")
-    c = None
-    for a, b in zip(v.entries, w.entries):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = a / b
-        if c is None:
-            c = r
-        elif c != r:
-            return None
-    return _ZERO if c is None else c
+    (ints,), _ = _cleared_rows([v.entries])
+    return _primitive(ints)
 
 
 def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
@@ -232,6 +208,16 @@ def _cleared_rows(rows: Iterable[Sequence[Fraction]]
     return out, factor
 
 
+def _primitive(ints: Sequence[int]) -> RatVector:
+    """Divide a nonzero integer vector by its content, first nonzero positive."""
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("cannot canonicalize the zero vector")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return RatVector(x // g for x in ints)
+
+
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
@@ -309,21 +295,28 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
 
 
+def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
+    """The last pivot p of the cleared rows of m and one integer kernel
+    vector per free column: p there, minus that column of the eliminated
+    rows at the pivot columns, 0 at the other free columns."""
+    a, _ = _cleared_rows(m.entries)
+    _, _, p, pivots = _bareiss(a)
+    out = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [0] * m.cols
+        v[free] = p
+        for row, c in zip(a, pivots):
+            v[c] = -row[free]
+        out.append(v)
+    return p, out
+
+
 def kernel_basis(m: RatMatrix) -> tuple[RatVector, ...]:
     """Deterministic basis of the right kernel, one vector per free column."""
-    reduced, pivots = rref(m)
-    ncols = m.cols
-    pivot_set = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][free]
-        out.append(RatVector(v))
-    return tuple(out)
+    p, vectors = _integer_kernel(m)
+    return tuple(RatVector(Fraction(x, p) for x in v) for v in vectors)
 
 
 def kernel_line(m: RatMatrix) -> RatVector:
@@ -332,11 +325,11 @@ def kernel_line(m: RatMatrix) -> RatVector:
     The result is canonical: integer entries with content 1 and positive
     first nonzero entry.
     """
-    basis = kernel_basis(m)
-    if len(basis) != 1:
+    _, vectors = _integer_kernel(m)
+    if len(vectors) != 1:
         raise RankMismatch(f"kernel line needs rank {m.cols - 1}, "
-                           f"got rank {m.cols - len(basis)}")
-    return canonical_direction(basis[0])
+                           f"got rank {m.cols - len(vectors)}")
+    return _primitive(vectors[0])
 
 
 def independent_spans(vectors: Sequence[RatVector], k: int,

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
 from .ratgeom import (RatMatrix, RatVector, canonical_direction,
-                      independent_spans, kernel_basis, kernel_line,
-                      parallel_ratio, rank)
+                      independent_spans, kernel_basis, kernel_line, rank)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -46,23 +45,24 @@ class Zonotope:
 
     def __init__(self, dimension, generators):
         d = int(dimension)
-        merged: list[RatVector] = []
+        # canonical direction -> merged generator, in order of first sight
+        merged: dict[tuple[Fraction, ...], RatVector] = {}
         for k, v in enumerate(generators):
             if v.dim != d:
                 raise InvalidZonotope(f"generator {k} has dimension {v.dim}, expected {d}")
             if v.is_zero():
                 raise InvalidZonotope(f"generator {k} is zero")
-            for pos, g in enumerate(merged):
-                c = parallel_ratio(v, g)
-                if c is not None:
-                    merged[pos] = g.scale(1 + abs(c))
-                    break
-            else:
-                merged.append(v)
-        if rank(RatMatrix.from_rows(merged, cols=d)) != d:
+            key = canonical_direction(v).entries
+            if key in merged:
+                g = merged[key]
+                c = next(a / b for a, b in zip(v.entries, g.entries) if b)
+                v = g.scale(1 + abs(c))
+            merged[key] = v
+        gens = tuple(merged.values())
+        if rank(RatMatrix.from_rows(gens, cols=d)) != d:
             raise SpanDeficient("generators do not span the ambient space")
         object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "generators", tuple(merged))
+        object.__setattr__(self, "generators", gens)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,6 @@ class VenkovReport:
     """Outcome of the ridge conditions for space filling by translations."""
 
     holds: bool
-    centrally_symmetric: bool
-    facets_centrally_symmetric: bool
     ridges: tuple[RidgeClass, ...]
     witnesses: tuple[RidgeClass, ...]
 
@@ -161,10 +159,7 @@ def venkov_check(z: Zonotope) -> VenkovReport:
     ridges = ridge_classification(z)
     witnesses = tuple(r for r in ridges
                       if r.classification not in (PARALLELOGRAM, HEXAGON))
-    return VenkovReport(holds=not witnesses,
-                        centrally_symmetric=True,
-                        facets_centrally_symmetric=True,
-                        ridges=ridges,
+    return VenkovReport(holds=not witnesses, ridges=ridges,
                         witnesses=witnesses)
 
 

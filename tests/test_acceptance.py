@@ -26,7 +26,6 @@ from zonocert import (NormalSet, apply_affine, certify_second_voronoi,
                       kernel_line, lattice_of_dicing, quadratic_form, rank,
                       unimodular_representation, venkov_check, verify_certificate,
                       vertices_oracle)
-from zonocert.ratgeom import parallel_ratio
 from zonocert.cli import bundled_corpus_path
 from zonocert.dicing import NotADicing
 from zonocert.jsonio import parse_normal_set, parse_rational
@@ -154,7 +153,7 @@ def test_criterion_3_edge_conditions_and_rejection():
                 if rank(mat([v.entries for v in chosen])) != d - 1:
                     continue
                 line = kernel_line(mat([v.entries for v in chosen]))
-                assert any(parallel_ratio(e, line) is not None
+                assert any(rank(mat([e.entries, line.entries])) == 1
                            for e in es.edges), \
                     f"{name}: subset {subset} has no edge"
             checked += 1

@@ -165,6 +165,24 @@ def test_certificate_refuses_non_integer_facet_link(bad):
     assert info.value.location == "$.facet_vectors.facet_link"
 
 
+def test_certificate_writes_facet_link_in_facet_order():
+    doc = hexagonal_certificate_doc()
+    assert doc["facet_vectors"]["facet_link"] == [0, 1, 2]
+    cert, _ = jsonio.parse_certificate(doc)
+    assert len(cert.facet_vectors.vectors) == 3
+
+
+@pytest.mark.parametrize("link", [[99, -4, 7], [0], [1, 0, 2]])
+def test_certificate_refuses_a_facet_link_out_of_facet_order(link):
+    # the verifier pairs facet vector k with facet pair k, so any other
+    # link would be carried without being checked
+    doc = hexagonal_certificate_doc()
+    doc["facet_vectors"]["facet_link"] = link
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert info.value.location == "$.facet_vectors.facet_link"
+
+
 @pytest.mark.parametrize("key", ["edge", "vector", "sign"])
 @pytest.mark.parametrize("bad", [["x"], 0.9, "0", True])
 def test_certificate_refuses_non_integer_bijection(key, bad):

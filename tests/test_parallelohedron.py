@@ -166,9 +166,9 @@ def test_facet_vectors_lie_in_the_lattice_and_bisect(rows):
     q = quadratic_form(ns)
     lat = lattice_of_dicing(ns)
     facet_list = facets(dv_zonotope(ns))
-    for lam, link in zip(fv.vectors, fv.facet_link):
+    assert len(fv.vectors) == len(facet_list)
+    for lam, f in zip(fv.vectors, facet_list):
         assert lattice_contains(lat, lam)
-        f = facet_list[link]
         image = q.matrix @ lam
         assert image.dot(f.center) == q.value(lam) / 2
         assert f.normal.dot(lam) != 0

@@ -13,7 +13,7 @@ from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
                       lattice_coordinates, rank, rref, same_lattice, solve)
 from zonocert.errors import (DegenerateSpan, NotSquare, RankMismatch, Singular)
 from zonocert.ratgeom import (_bareiss_det, _cleared_rows, first_parallel_pair,
-                              independent_spans, parallel_ratio)
+                              independent_spans)
 
 from conftest import mat, vec
 
@@ -110,6 +110,18 @@ def test_kernel_line_annihilates(rows):
     assert not v.is_zero()
     assert (m @ v).is_zero()
     assert v == canonical_direction(v)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(
+    lambda d: st.tuples(matrix_rows(d - 1, d), st.booleans())))
+def test_kernel_line_is_the_canonical_first_kernel_basis_vector(data):
+    rows, dependent_row = data
+    if dependent_row:
+        rows = rows + [[a + b for a, b in zip(rows[0], rows[-1])]]
+    m = mat(rows)
+    assume(len(kernel_basis(m)) == 1)
+    assert kernel_line(m) == canonical_direction(kernel_basis(m)[0])
 
 
 @settings(max_examples=60)
@@ -389,8 +401,9 @@ def test_canonical_direction_strips_scale_and_sign():
     assert canonical_direction(vec(2, -4)) == vec(1, -2)
     assert canonical_direction(vec(-2, 4)) == vec(1, -2)
     assert canonical_direction(vec(0, "-1/3")) == vec(0, 1)
+    assert canonical_direction(vec("-1/2", "1/3", 0)) == vec(3, -2, 0)
 
 
-def test_parallel_ratio():
-    assert parallel_ratio(vec(1, -2), vec(2, -4)) == Fraction(1, 2)
-    assert parallel_ratio(vec(1, 0), vec(2, -4)) is None
+def test_canonical_direction_rejects_zero():
+    with pytest.raises(ValueError):
+        canonical_direction(vec(0, 0))
