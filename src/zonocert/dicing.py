@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (RatMatrix, RatVector, _bareiss_det, _cleared_rows,
-                      first_parallel_pair, independent_spans, inverse,
-                      kernel_line, rank, rref, unit_vector)
+from .ratgeom import (RatMatrix, RatVector, _bareiss, _bareiss_det,
+                      _cleared_rows, first_parallel_pair, independent_spans,
+                      inverse, kernel_line, rank, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ class DicingRep:
 def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
     """Indices of the first d independent normals: the pivot columns of
     the matrix whose columns are the normals."""
-    pivots = rref(RatMatrix.from_columns(ns.normals))[1]
+    a, _ = _cleared_rows(RatMatrix.from_columns(ns.normals).entries)
+    pivots = _bareiss(a)[3]
     if len(pivots) != ns.dimension:
         raise InvalidNormalSet("normals do not span the space")
     return pivots

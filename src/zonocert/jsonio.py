@@ -21,7 +21,7 @@ from .zonotope import Zonotope
 
 SCHEMA_VERSION = "v1"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def parse_rational(obj, location: str) -> Fraction:
-    if not isinstance(obj, str) or not _RATIONAL_RE.match(obj):
+    if not isinstance(obj, str) or not _RATIONAL_RE.fullmatch(obj):
         raise SchemaError(location, f"expected a rational string 'p/q', got {obj!r}")
     num, _, den = obj.partition("/")
     try:

@@ -31,6 +31,28 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
+def _ldl(g: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """G = L D L^T with unit lower triangular L; requires positive D.
+
+    D_j is the ratio of the leading principal minors of orders j + 1 and
+    j, so the first D_j <= 0 names the first minor that is not positive.
+    """
+    n = g.rows
+    lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    diag = [_ZERO] * n
+    for j in range(n):
+        diag[j] = g.entries[j][j] - sum(
+            (diag[k] * lower[j][k] * lower[j][k] for k in range(j)), _ZERO)
+        if diag[j] <= 0:
+            raise NotPositiveDefinite(
+                f"leading principal minor of order {j + 1} is not positive")
+        for i in range(j + 1, n):
+            lower[i][j] = (g.entries[i][j] - sum(
+                (diag[k] * lower[i][k] * lower[j][k] for k in range(j)), _ZERO)
+            ) / diag[j]
+    return lower, diag
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric positive definite rational form."""
@@ -43,11 +65,7 @@ class QuadraticForm:
             raise NotPositiveDefinite("form matrix must be square")
         if m.entries != m.transpose().entries:
             raise NotPositiveDefinite("form matrix must be symmetric")
-        for k in range(1, m.rows + 1):
-            minor = RatMatrix([row[:k] for row in m.entries[:k]])
-            if det(minor) <= 0:
-                raise NotPositiveDefinite(
-                    f"leading principal minor of order {k} is not positive")
+        _ldl(m)
 
     @property
     def dimension(self) -> int:
@@ -238,23 +256,6 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
 # brute-force cell oracle
 
 
-def _ldl(g: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower triangular L; requires positive D."""
-    n = g.rows
-    lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    diag = [_ZERO] * n
-    for j in range(n):
-        diag[j] = g.entries[j][j] - sum(
-            (diag[k] * lower[j][k] * lower[j][k] for k in range(j)), _ZERO)
-        if diag[j] <= 0:
-            raise NotPositiveDefinite("Gram matrix is not positive definite")
-        for i in range(j + 1, n):
-            lower[i][j] = (g.entries[i][j] - sum(
-                (diag[k] * lower[i][k] * lower[j][k] for k in range(j)), _ZERO)
-            ) / diag[j]
-    return lower, diag
-
-
 def _interval(center: Fraction, bound: Fraction) -> range:
     """Integers k with (k + center)^2 <= bound, by exact comparisons."""
     if bound < 0:
@@ -337,9 +338,10 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     # prefix loses no pruning.
     enumerated.sort(key=lambda item: (item[1], item[0].entries))
     values = {v.entries: phi for v, phi in enumerated}
-    kept: list[RatVector] = []
-    for lam, phi_lam in enumerated:
-        cap = phi_lam * _HALF
+    # one half-space x . Q lam <= phi(lam)/2 per enumerated lattice point
+    planes = [(lam, phi, q.matrix @ lam, phi * _HALF) for lam, phi in enumerated]
+    constraints: list[tuple[RatVector, Fraction]] = []
+    for lam, phi_lam, normal, cap in planes:
         dominated = False
         for mu, phi_mu in enumerated:
             if phi_mu > cap:
@@ -349,9 +351,10 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
                 dominated = True
                 break
         if not dominated:
-            kept.append(lam)
+            constraints.append((normal, cap))
 
-    constraints = [(q.matrix @ lam, values[lam.entries] * _HALF) for lam in kept]
+    # By induction on phi the kept half-spaces imply every pruned one:
+    # x . Q(mu + nu) <= (phi(mu) + phi(nu))/2 <= phi(mu + nu)/2.
     candidates: dict[tuple, RatVector] = {}
     for subset in itertools.combinations(range(len(constraints)), d):
         m = RatMatrix.from_rows([constraints[i][0] for i in subset], cols=d)
@@ -361,12 +364,7 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
             continue
         if all(n.dot(point) <= r for n, r in constraints):
             candidates.setdefault(point.entries, point)
-
-    full = [(q.matrix @ lam, phi * _HALF) for lam, phi in enumerated]
-    vertices = []
-    for point in candidates.values():
-        if all(n.dot(point) <= r for n, r in full):
-            vertices.append(point)
+    vertices = list(candidates.values())
     if not vertices:
         raise EnumerationInsufficient("no cell vertex found inside the radius")
 
@@ -379,16 +377,18 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     # farther from any vertex x than the origin, so the 4*peak ball holds
     # every point that can tie or beat a vertex, and it is fully
     # enumerated by the guard above.
-    near = [lam for lam, phi in enumerated if phi <= 4 * peak]
+    # phi(x - lam) - phi(x) = phi(lam) - 2 x . Q lam, so lam is closer to
+    # x than the origin exactly when x . Q lam > phi(lam)/2.
+    near = [(lam, normal, cap) for lam, phi, normal, cap in planes
+            if phi <= 4 * peak]
     cells = []
     for x in vertices:
-        base_val = q.value(x)
         equidistant = [zero_vector(d)]
-        for lam in near:
-            diff = q.value(x - lam)
-            if diff < base_val:
+        for lam, normal, cap in near:
+            h = normal.dot(x)
+            if h > cap:
                 raise InternalFault("cell vertex closer to a nonzero lattice point")
-            if diff == base_val:
+            if h == cap:
                 equidistant.append(lam)
         if len(equidistant) < d + 1:
             raise EnumerationInsufficient(

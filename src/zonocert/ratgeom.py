@@ -5,8 +5,9 @@ determinant, kernel, and Hermite form below is computed without rounding.
 Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
 rows; kernels are read off its integer rows as integer vectors, with no
-rational echelon form in between.  Only the Hermite form has its own
-integer column reduction.
+rational echelon form in between.  The same pivot step, ``_pivot``, also
+drives the integer simplex tableau of the hull oracle in ``zonotope``.
+Only the Hermite form has its own integer column reduction.
 """
 
 from __future__ import annotations
@@ -218,6 +219,24 @@ def _primitive(ints: Sequence[int]) -> RatVector:
     return RatVector(x // g for x in ints)
 
 
+def _pivot(a: list[list[int]], r: int, c: int, prev: int,
+           starts: Sequence[int] = ()) -> None:
+    """Fraction-free pivot on a[r][c], in place: every other row i becomes
+    (row * a[r][c] - row[c] * a[r]) / prev from column starts[i] (or 0)
+    on.  With prev the previous pivot the division is exact (Bareiss)."""
+    top = a[r]
+    piv = top[c]
+    for i, row in enumerate(a):
+        if i == r:
+            continue
+        lo = starts[i] if starts else 0
+        f = row[c]
+        new = [x * piv - f * t for x, t in zip(row[lo:], top[lo:])]
+        if any(x % prev for x in new):
+            raise InternalFault("fraction-free elimination not exact")
+        row[lo:] = [x // prev for x in new]
+
+
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
@@ -244,20 +263,10 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
                 continue
             a[r], a[piv_row] = a[piv_row], a[r]
             sign = -sign
-        top = a[r]
-        piv = top[c]
-        for i, row in enumerate(a):
-            if i == r:
-                continue
-            # rows above start at their own pivot, rows below at column c;
-            # everything left of that is already 0
-            lo = pivots[i] if i < r else c
-            f = row[c]
-            new = [x * piv - f * t for x, t in zip(row[lo:], top[lo:])]
-            if any(x % prev for x in new):
-                raise InternalFault("fraction-free elimination not exact")
-            row[lo:] = [x // prev for x in new]
-        prev = piv
+        # rows above start at their own pivot, rows below at column c;
+        # everything left of that is already 0
+        _pivot(a, r, c, prev, pivots + [c] * (nrows - r))
+        prev = a[r][c]
         pivots.append(c)
     return len(pivots), sign, prev, tuple(pivots)
 
@@ -452,7 +461,7 @@ def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
     if any(g.dim != dim for g in generators):
         raise ValueError("generators of mixed dimension")
     den = math.lcm(*(e.denominator for g in generators for e in g.entries))
-    cols = [[int(e * den) for e in g.entries] for g in generators]
+    cols = [[e.numerator * (den // e.denominator) for e in g] for g in generators]
     fixed = _column_hnf(cols, dim)
     if len(fixed) < dim:
         raise DegenerateSpan(

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
-from .ratgeom import (RatMatrix, RatVector, canonical_direction,
-                      independent_spans, kernel_basis, kernel_line, rank)
+from .ratgeom import (RatMatrix, RatVector, _cleared_rows, _pivot,
+                      canonical_direction, independent_spans, kernel_basis,
+                      kernel_line, rank)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -200,60 +201,39 @@ def _in_convex_hull(p: tuple[Fraction, ...],
                     pts: list[tuple[Fraction, ...]]) -> bool:
     """Exact membership of p in conv(pts) via a phase-1 simplex.
 
-    Feasibility of: lambda >= 0, sum lambda = 1, sum lambda q = p.
-    Bland's rule on entering and leaving variables guarantees termination.
+    Feasibility of: lambda >= 0, sum lambda = 1, sum lambda q = p.  The
+    tableau is integer: cleared constraint rows with nonnegative right-hand
+    sides, identity artificials, and last the cost row of the sum of the
+    artificials, all updated by fraction-free pivots.  Every pivot is
+    positive, so each entry keeps the sign of the value it scales.  Bland's
+    rule on entering and leaving variables guarantees termination.
     """
     if not pts:
         return False
-    d = len(p)
-    m = d + 1
     n = len(pts)
-    one = Fraction(1)
-    tableau: list[list[Fraction]] = []
-    for r in range(m):
-        if r < d:
-            row = [q[r] for q in pts]
-            rhs = Fraction(p[r])
-        else:
-            row = [one] * n
-            rhs = one
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        art = [_ZERO] * m
-        art[r] = one
-        tableau.append(row + art + [rhs])
-    ncols = n + m
+    m = len(p) + 1
+    rows, _ = _cleared_rows([[q[r] for q in pts] + [p[r]] for r in range(m - 1)]
+                            + [[1] * (n + 1)])
+    rows = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    sums = [sum(col) for col in zip(*rows)]
+    tableau = [row[:n] + [int(i == r) for i in range(m)] + row[n:]
+               for r, row in enumerate(rows)]
+    tableau.append(sums[:n] + [0] * m + sums[n:])
+    cost = tableau[m]
     basis = list(range(n, n + m))
-    cost = [sum(tableau[i][j] for i in range(m)) - (one if j >= n else _ZERO)
-            for j in range(ncols)]
-    objective = sum(tableau[i][ncols] for i in range(m))
+    prev = 1
     while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
+        enter = next((j for j in range(n + m) if cost[j] > 0), None)
         if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][ncols] / tableau[i][enter]
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best, leave = ratio, i
+            return cost[-1] == 0
+        leave = min((i for i in range(m) if tableau[i][enter] > 0),
+                    key=lambda i: (Fraction(tableau[i][-1], tableau[i][enter]),
+                                   basis[i]), default=None)
         if leave is None:
             raise InternalFault("phase-1 simplex is unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y
-                              for x, y in zip(tableau[i], tableau[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tableau[leave][:ncols])]
-        objective -= f * tableau[leave][ncols]
+        _pivot(tableau, leave, enter, prev)
+        prev = tableau[leave][enter]
         basis[leave] = enter
-    return objective == 0
 
 
 def _extreme_points(points: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:

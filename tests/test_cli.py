@@ -111,12 +111,14 @@ def test_missing_input_file_exits_one(run, tmp_path):
 
 
 def test_schema_error_exits_one_with_location(run, tmp_path):
-    doc = dict(HEX_DOC)
-    doc["normals"] = [["1", "0"], ["0", "oops"], ["1", "1"]]
-    src = write_doc(tmp_path, "broken.json", doc)
-    code, _, err = run("edges", src)
-    assert code == 1
-    assert "$.normals[1][1]" in err
+    # an Arabic-Indic digit is not an ASCII rational
+    for bad in ("oops", "\u0663"):
+        doc = dict(HEX_DOC)
+        doc["normals"] = [["1", "0"], ["0", bad], ["1", "1"]]
+        src = write_doc(tmp_path, "broken.json", doc)
+        code, _, err = run("edges", src)
+        assert code == 1
+        assert "$.normals[1][1]" in err
 
 
 @pytest.mark.parametrize("weight", ["1" + "0" * 5000, "1/1" + "0" * 5000])

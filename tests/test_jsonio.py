@@ -27,7 +27,8 @@ def test_rational_parsing_normalizes():
     assert jsonio.parse_rational("007", "x") == 7
 
 
-@pytest.mark.parametrize("text", ["1.5", "", "1e3", "2 / 3", "--1", "1/"])
+@pytest.mark.parametrize("text", ["1.5", "", "1e3", "2 / 3", "--1", "1/",
+                                  "1\n", "\u0663", "\uff11", "1/\u0662"])
 def test_rational_parsing_rejects_non_rationals(text):
     with pytest.raises(SchemaError):
         jsonio.parse_rational(text, "x")

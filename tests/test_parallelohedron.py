@@ -39,10 +39,13 @@ def test_form_with_diagonal_weights():
 
 
 def test_form_constructor_rejects_indefinite_matrices():
-    with pytest.raises(NotPositiveDefinite):
-        QuadraticForm(mat([[1, 2], [2, 1]]))
-    with pytest.raises(NotPositiveDefinite):
-        QuadraticForm(mat([[0, 0], [0, 1]]))
+    # each case names the first leading principal minor that is not positive
+    for rows, order in (([[1, 2], [2, 1]], 2), ([[0, 0], [0, 1]], 1),
+                        ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 3)):
+        with pytest.raises(NotPositiveDefinite) as info:
+            QuadraticForm(mat(rows))
+        assert str(info.value) == \
+            f"leading principal minor of order {order} is not positive"
 
 
 def test_zone_vectors_of_standard_grid():

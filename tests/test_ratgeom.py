@@ -11,9 +11,10 @@ from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
                       det, dual_lattice_basis, hnf_lattice_basis, inverse,
                       kernel_basis, kernel_line, lattice_contains,
                       lattice_coordinates, rank, rref, same_lattice, solve)
-from zonocert.errors import (DegenerateSpan, NotSquare, RankMismatch, Singular)
-from zonocert.ratgeom import (_bareiss_det, _cleared_rows, first_parallel_pair,
-                              independent_spans)
+from zonocert.errors import (DegenerateSpan, InternalFault, NotSquare,
+                             RankMismatch, Singular)
+from zonocert.ratgeom import (_bareiss_det, _cleared_rows, _pivot,
+                              first_parallel_pair, independent_spans)
 
 from conftest import mat, vec
 
@@ -223,6 +224,18 @@ def test_det_hexagonal_form():
 def test_det_rejects_rectangular():
     with pytest.raises(NotSquare):
         det(mat([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_pivot_refuses_a_wrong_previous_pivot():
+    a = [[2, 1], [1, 3]]
+    _pivot(a, 0, 0, 1)
+    assert a == [[2, 1], [0, 5]]
+    b = [row[:] for row in a]
+    _pivot(b, 1, 1, 2)
+    assert b == [[5, 0], [0, 5]]
+    # row 0 becomes [10, 0] / prev, and 3 is not the previous pivot
+    with pytest.raises(InternalFault):
+        _pivot(a, 1, 1, 3)
 
 
 @settings(max_examples=60)

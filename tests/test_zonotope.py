@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonocert import (Zonotope, facets, hull_facet_planes,
                       ridge_classification, support_value, venkov_check,
                       vertices_oracle)
 from zonocert.errors import (DimensionTooLarge, DimensionTooSmall,
                              InvalidZonotope, SpanDeficient, ZeroDirection)
-from zonocert.zonotope import HEXAGON, OTHER, PARALLELOGRAM
+from zonocert.zonotope import (HEXAGON, OTHER, PARALLELOGRAM, _extreme_points,
+                               _hull2d, _in_convex_hull)
 
 from conftest import vec, zono
 
@@ -195,6 +198,49 @@ def test_vertex_oracle_dimension_cap():
     z = zono([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(DimensionTooLarge):
         vertices_oracle(z)
+
+
+@st.composite
+def clouds(draw, d):
+    """Rational points plus repeats and points on lines through two others."""
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        t = draw(st.fractions(min_value=0, max_value=2, max_denominator=2))
+        pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    return pts
+
+
+@settings(max_examples=60)
+@given(clouds(1), clouds(2))
+def test_hull_membership_finds_the_same_extreme_points(line, plane):
+    # the monotone chain shares no arithmetic with the simplex
+    assert set(_extreme_points(line)) == {min(line), max(line)}
+    assert set(_extreme_points(plane)) == set(_hull2d(plane))
+
+
+@settings(max_examples=60)
+@given(clouds(3), st.data())
+def test_hull_membership_in_space(pts, data):
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                                 max_size=len(pts)).filter(any))
+    inside = tuple(sum(w * q[i] for w, q in zip(weights, pts)) / sum(weights)
+                   for i in range(3))
+    assert _in_convex_hull(inside, pts)
+    assert all(_in_convex_hull(q, pts) for q in pts)
+    c = data.draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any))
+    top = max(pts, key=lambda q: sum(a * x for a, x in zip(c, q)))
+    assert not _in_convex_hull(tuple(x + a for x, a in zip(top, c)), pts)
+    assert not _in_convex_hull(inside, [])
+
+
+def test_hull_membership_is_exact_and_terminates_on_integer_points():
+    # the origin is (1/6, 5/12, 1/6, 1/4) on points 0, 2, 5, 6; breaking
+    # ratio ties by the largest basis index cycles on this cloud
+    pts = [(-2, 1, 1), (0, 1, -2), (1, 0, -2), (-2, -2, -1), (-1, 1, -1),
+           (1, 2, 1), (-1, -2, 2)]
+    assert _in_convex_hull((0, 0, 0), pts)
 
 
 def test_hull_planes_of_cube_vertices():
