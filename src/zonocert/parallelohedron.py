@@ -11,19 +11,23 @@ a verifier that re-checks certificates from raw fields are included.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from .dicing import (EdgeSet, NormalSet, compute_edge_set, dual_edge_indices,
                      first_basis_indices, unimodular_representation)
-from .errors import (BasisCheckFailed, CertificationError, DimensionTooLarge,
-                     DualityViolation, EnumerationInsufficient, InternalFault,
-                     Mismatch, NotInLattice, NotPositiveDefinite, ZonocertError)
-from .ratgeom import (LatticeBasis, RatMatrix, RatVector, det,
-                      dual_lattice_basis, hnf_lattice_basis, inverse,
-                      lattice_contains, rank, same_lattice, zero_vector)
+from .errors import (BasisCheckFailed, CertificationError, DimensionMismatch,
+                     DimensionTooLarge, DualityViolation, EnumerationInsufficient,
+                     InternalFault, Mismatch, NotInLattice, NotPositiveDefinite,
+                     ZonocertError)
+from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _as_rational,
+                      _bareiss, _cleared_rows, det, dual_lattice_basis,
+                      hnf_lattice_basis, inverse, lattice_contains, rank,
+                      same_lattice, zero_vector)
 from .zonotope import FacetDescriptor, Zonotope, facets
 
 _ZERO = Fraction(0)
@@ -273,24 +277,55 @@ def _interval(center: Fraction, bound: Fraction) -> range:
     return range(lo, hi + 1)
 
 
-def _short_vectors(lattice: LatticeBasis, q: QuadraticForm,
-                   bound: Fraction) -> list[tuple[RatVector, Fraction]]:
-    """All nonzero lattice vectors with form value at most the bound.
+def _integer_gram(lattice: LatticeBasis, q: QuadraticForm
+                  ) -> tuple[int, list[list[int]]]:
+    """The scale s and the integer matrix sG of the Gram matrix G = B^T Q B.
 
-    Returns (vector, form value) pairs; the value falls out of the LDL^T
-    recursion for free.
+    s is the lcm of the denominators of G, so the form value of the
+    lattice vector Bc is phi(Bc) = Phi(c) / s with Phi(c) = c^T (sG) c an
+    integer for every integer coefficient vector c.
     """
     b = lattice.basis
     gram = b.transpose() @ (q.matrix @ b)
-    lower, diag = _ldl(gram)
+    (flat,), s = _cleared_rows([[e for row in gram.entries for e in row]])
     n = lattice.dimension
+    return s, [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _short_vectors(lattice: LatticeBasis, q: QuadraticForm, bound: Fraction
+                   ) -> list[tuple[tuple[int, ...], int]]:
+    """All nonzero lattice vectors with form value at most the bound.
+
+    Each vector Bc comes as its integer coefficient tuple c in the lattice
+    basis B, paired with its integer form value Phi(c) = s phi(Bc) (see
+    _integer_gram).  The outer coefficients run the LDL^T recursion of
+    the Gram matrix (Fincke-Pohst); the innermost one ranges over the
+    integers k with Phi <= s * bound, a quadratic inequality in k solved
+    exactly with isqrt.
+    """
+    s, gram = _integer_gram(lattice, q)
+    lower, diag = _ldl(RatMatrix(gram))
+    n = lattice.dimension
+    cap = math.floor(s * bound)
     coeffs = [0] * n
-    found: list[tuple[RatVector, Fraction]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
 
     def descend(level: int, remaining: Fraction):
-        if level < 0:
-            if any(coeffs):
-                found.append((b @ RatVector(coeffs), bound - remaining))
+        if level == 0:
+            # Phi = a k^2 + 2 beta k + gamma for k = c_0, and Phi <= cap
+            # exactly when (a k + beta)^2 <= beta^2 - a (gamma - cap)
+            rest = coeffs[1:]
+            a = gram[0][0]
+            beta = sum(map(mul, gram[0][1:], rest))
+            gamma = sum(c * sum(map(mul, row[1:], rest))
+                        for c, row in zip(rest, gram[1:]))
+            disc = beta * beta - a * (gamma - cap)
+            if disc < 0:
+                return
+            r = math.isqrt(disc)
+            for k in range(-((r + beta) // a), (r - beta) // a + 1):
+                if k or any(rest):
+                    found.append(((k, *rest), (a * k + 2 * beta) * k + gamma))
             return
         center = sum((lower[i][level] * coeffs[i]
                       for i in range(level + 1, n)), _ZERO)
@@ -300,7 +335,7 @@ def _short_vectors(lattice: LatticeBasis, q: QuadraticForm,
             descend(level - 1, remaining - step)
         coeffs[level] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, s * bound)
     return found
 
 
@@ -316,57 +351,78 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     the enumeration radius must cover four times the largest vertex norm,
     which by the Cauchy-Schwarz bound rules out any forgotten constraint.
     Vertices and their equidistant points (origin included) are sorted.
+
+    All of it runs in integers: a lattice point Bc is its coefficient
+    tuple c with the integer form value Phi(c) = s phi(Bc), and a point x
+    of space is its dual coordinate vector z = 2s B^T Q x, in which the
+    bisector half-space x . Q(Bc) <= phi(Bc)/2 reads z . c <= Phi(c).
+    Only the vertices and their equidistant points are mapped back.
     """
     d = lattice.dimension
     if d > 3:
         raise DimensionTooLarge("cell oracle supports dimension at most 3")
+    if q.dimension != d:
+        raise DimensionMismatch(
+            f"form of dimension {q.dimension} on a lattice of dimension {d}")
     if radius_multiplier <= 0:
         raise ValueError("radius multiplier must be positive")
-    cols = lattice.vectors
-    norms = [q.value(v) for v in cols]
-    norms += [q.value(cols[i] + cols[j])
+    b = lattice.basis
+    s, gram = _integer_gram(lattice, q)
+    # Phi of the basis vectors and of their pairwise sums
+    norms = [gram[i][i] for i in range(d)]
+    norms += [gram[i][i] + 2 * gram[i][j] + gram[j][j]
               for i, j in itertools.combinations(range(d), 2)]
-    radius = radius_multiplier * max(norms)
+    radius = radius_multiplier * Fraction(max(norms), s)
     enumerated = _short_vectors(lattice, q, radius)
-    if not enumerated or rank(
-            RatMatrix.from_rows([v for v, _ in enumerated], cols=d)) < d:
-        raise EnumerationInsufficient(
-            "enumerated lattice vectors do not span the space")
 
     # A decomposition lam = mu + nu with phi(mu) + phi(nu) <= phi(lam)
     # always has a member with phi <= phi(lam)/2, so scanning the sorted
-    # prefix loses no pruning.
-    enumerated.sort(key=lambda item: (item[1], item[0].entries))
-    values = {v.entries: phi for v, phi in enumerated}
-    # one half-space x . Q lam <= phi(lam)/2 per enumerated lattice point
-    planes = [(lam, phi, q.matrix @ lam, phi * _HALF) for lam, phi in enumerated]
-    constraints: list[tuple[RatVector, Fraction]] = []
-    for lam, phi_lam, normal, cap in planes:
-        dominated = False
-        for mu, phi_mu in enumerated:
-            if phi_mu > cap:
-                break
-            phi_nu = values.get((lam - mu).entries)
-            if phi_nu is not None and phi_mu + phi_nu <= phi_lam:
-                dominated = True
-                break
-        if not dominated:
-            constraints.append((normal, cap))
+    # prefix loses no pruning.  Ties in phi break by the entries of Bc,
+    # compared through the rows of B cleared to integers, so vertices are
+    # found, and a failing one is named, in the order of space coordinates.
+    rows, _ = _cleared_rows(b.entries)
+    enumerated.sort(key=lambda item: (
+        item[1], tuple(sum(map(mul, row, item[0])) for row in rows)))
+    values = dict(enumerated)
+    phis = [phi for _, phi in enumerated]
+    # one half-space z . c <= Phi(c) per enumerated lattice point
+    constraints: list[tuple[tuple[int, ...], int]] = []
+    for c, phi in enumerated:
+        head = itertools.islice(enumerated, bisect.bisect_right(phis, phi // 2))
+        if not any((phi_nu := values.get(tuple(map(sub, c, mu)))) is not None
+                   and phi_mu + phi_nu <= phi for mu, phi_mu in head):
+            constraints.append((c, phi))
+    # Every pruned c is a sum of two points of smaller Phi, so by induction
+    # the kept rows span what the enumerated rows span (B is invertible,
+    # so coefficient rows have the rank of the vectors Bc).
+    if not constraints or rank(RatMatrix([c for c, _ in constraints])) < d:
+        raise EnumerationInsufficient(
+            "enumerated lattice vectors do not span the space")
 
     # By induction on phi the kept half-spaces imply every pruned one:
     # x . Q(mu + nu) <= (phi(mu) + phi(nu))/2 <= phi(mu + nu)/2.
-    candidates: dict[tuple, RatVector] = {}
-    for subset in itertools.combinations(range(len(constraints)), d):
-        m = RatMatrix.from_rows([constraints[i][0] for i in subset], cols=d)
-        try:
-            point = inverse(m) @ RatVector([constraints[i][1] for i in subset])
-        except ZonocertError:
+    # Each d of them meet in z = (last column) / p of the eliminated
+    # [C | Phi] when its pivots are the first d columns; (z numerator,
+    # positive denominator) in lowest terms is the vertex's key.
+    square = tuple(range(d))
+    candidates: dict[tuple[tuple[int, ...], int], None] = {}
+    for subset in itertools.combinations(constraints, d):
+        a = [[*c, phi] for c, phi in subset]
+        _, _, p, pivots = _bareiss(a)
+        if pivots != square:
             continue
-        if all(n.dot(point) <= r for n, r in constraints):
-            candidates.setdefault(point.entries, point)
-    vertices = list(candidates.values())
-    if not vertices:
+        g = math.gcd(p, *(row[d] for row in a)) * (1 if p > 0 else -1)
+        key = (tuple(row[d] // g for row in a), p // g)
+        if key in candidates:
+            continue
+        num, den = key
+        if all(sum(map(mul, c, num)) <= den * phi for c, phi in constraints):
+            candidates[key] = None
+    if not candidates:
         raise EnumerationInsufficient("no cell vertex found inside the radius")
+    back = inverse((b.transpose() @ q.matrix).scale(2 * s))
+    vertices = [(back @ RatVector(num)).scale(Fraction(1, den))
+                for num, den in candidates]
 
     peak = max(q.value(x) for x in vertices)
     if 4 * peak > radius:
@@ -377,19 +433,19 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     # farther from any vertex x than the origin, so the 4*peak ball holds
     # every point that can tie or beat a vertex, and it is fully
     # enumerated by the guard above.
-    # phi(x - lam) - phi(x) = phi(lam) - 2 x . Q lam, so lam is closer to
-    # x than the origin exactly when x . Q lam > phi(lam)/2.
-    near = [(lam, normal, cap) for lam, phi, normal, cap in planes
-            if phi <= 4 * peak]
+    # phi(x - lam) - phi(x) = phi(lam) - 2 x . Q lam, so lam = Bc is
+    # closer to x than the origin exactly when z . c > Phi(c).
+    limit = math.floor(4 * s * peak)
+    near = [(c, phi) for c, phi in enumerated if phi <= limit]
     cells = []
-    for x in vertices:
+    for (num, den), x in zip(candidates, vertices):
         equidistant = [zero_vector(d)]
-        for lam, normal, cap in near:
-            h = normal.dot(x)
-            if h > cap:
+        for c, phi in near:
+            h = sum(map(mul, c, num))
+            if h > den * phi:
                 raise InternalFault("cell vertex closer to a nonzero lattice point")
-            if h == cap:
-                equidistant.append(lam)
+            if h == den * phi:
+                equidistant.append(b @ RatVector(c))
         if len(equidistant) < d + 1:
             raise EnumerationInsufficient(
                 f"vertex {x.entries} is equidistant to only {len(equidistant)} "
@@ -408,9 +464,11 @@ def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm,
     and positive form in dimension at most 3.  The default radius covers
     the form values of the basis vectors and their pairwise sums, scaled
     by the multiplier; if that provably cannot bound the cell the oracle
-    raises EnumerationInsufficient rather than guessing.
+    raises EnumerationInsufficient rather than guessing.  The multiplier
+    must be an int or a Fraction.
     """
-    return tuple(x for x, _ in _cell_data(lattice, q, Fraction(radius_multiplier)))
+    return tuple(x for x, _ in _cell_data(lattice, q,
+                                          _as_rational(radius_multiplier)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +506,7 @@ def delone_duality_check(ns: NormalSet,
     lat = lattice_of_dicing(ns)
     q = quadratic_form(ns)
     out = []
-    for x, equidistant in _cell_data(lat, q, Fraction(radius_multiplier)):
+    for x, equidistant in _cell_data(lat, q, _as_rational(radius_multiplier)):
         diffs = [p - equidistant[0] for p in equidistant[1:]]
         if rank(RatMatrix.from_rows(diffs, cols=d)) != d:
             raise DualityViolation(

@@ -1,20 +1,28 @@
 """The certification pipeline: form, zone vectors, cell, facet vectors."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zonocert import (EdgeSet, QuadraticForm, RatVector, certify_second_voronoi,
+from zonocert import (EdgeSet, LatticeBasis, NormalSet, QuadraticForm,
+                      RatMatrix, RatVector, certify_second_voronoi,
                       check_n_equals_e, compute_edge_set, delone_duality_check,
-                      dv_cell_oracle, dv_zonotope, extract_basis, facet_vectors,
-                      facets, hnf_lattice_basis, lattice_contains,
-                      lattice_of_dicing, quadratic_form, vertices_oracle,
-                      venkov_check, verify_certificate, zone_vectors)
+                      det, dv_cell_oracle, dv_zonotope, extract_basis,
+                      facet_vectors, facets, hnf_lattice_basis, inverse,
+                      lattice_contains, lattice_of_dicing, quadratic_form,
+                      vertices_oracle, venkov_check, verify_certificate,
+                      zone_vectors)
+from zonocert.cli import bundled_corpus_path
 from zonocert.errors import (BasisCheckFailed, CertificationError,
-                             DimensionTooLarge, EnumerationInsufficient,
-                             Mismatch, NotADicing, NotPositiveDefinite)
+                             DimensionMismatch, DimensionTooLarge,
+                             EnumerationInsufficient, Mismatch, NotADicing,
+                             NotPositiveDefinite)
+from zonocert.jsonio import parse_normal_set
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
@@ -136,6 +144,98 @@ def test_zonotope_matches_oracle_on_fixtures(rows):
     ns = normal_set(rows)
     assert vertices_oracle(dv_zonotope(ns)) == dv_cell_oracle(
         lattice_of_dicing(ns), quadratic_form(ns))
+
+
+def test_oracle_rejects_float_and_string_multipliers():
+    ns = normal_set(HEXAGONAL)
+    lat, q = lattice_of_dicing(ns), quadratic_form(ns)
+    for bad in (0.5, 4.0, "4"):
+        with pytest.raises(TypeError):
+            dv_cell_oracle(lat, q, bad)
+        with pytest.raises(TypeError):
+            delone_duality_check(ns, bad)
+    assert dv_cell_oracle(lat, q, 4) == dv_cell_oracle(lat, q)
+
+
+def test_oracle_names_both_dimensions_of_a_mismatched_form():
+    with pytest.raises(DimensionMismatch) as info:
+        dv_cell_oracle(lattice_of_dicing(normal_set(SQUARE)),
+                       quadratic_form(normal_set(CUBIC)))
+    assert str(info.value) == "form of dimension 3 on a lattice of dimension 2"
+
+
+def _rationals(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+
+
+def _basis(d):
+    return st.lists(st.lists(_rationals(-3, 3), min_size=d, max_size=d),
+                    min_size=d, max_size=d).map(RatMatrix)
+
+
+def _gram(d):
+    # C^T C for lower triangular C with diagonal in [1/4, 2]
+    entries = st.lists(st.lists(_rationals(-2, 2), min_size=d, max_size=d),
+                       min_size=d, max_size=d)
+    diagonal = st.lists(_rationals(1, 2), min_size=d, max_size=d)
+
+    def build(rows, diag):
+        c = RatMatrix([[diag[i] if i == j else rows[i][j] if j < i else 0
+                        for j in range(d)] for i in range(d)])
+        return c.transpose() @ c
+    return st.builds(build, entries, diagonal)
+
+
+def _unimodular(d):
+    # a signed product of up to three elementary column operations
+    ops = st.tuples(st.permutations(range(d)), st.sampled_from([-1, 1]))
+    return st.builds(_elementary, st.just(d),
+                     st.lists(ops, min_size=1, max_size=3), st.booleans())
+
+
+def _elementary(d, ops, flip):
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for (src, dst, *_), k in ops:
+        for row in u:
+            row[dst] += k * row[src]
+    if flip:
+        u[0] = [-x for x in u[0]]
+    return RatMatrix(u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda d: st.tuples(_basis(d), _gram(d), _unimodular(d))))
+def test_oracle_is_independent_of_the_lattice_basis(data):
+    b, gram, u = data
+    assume(det(b) != 0)
+    # The form is a random rational form whose Gram matrix in the basis b
+    # is the well-conditioned C^T C, which keeps the enumeration small.
+    b_inv = inverse(b)
+    q = QuadraticForm(b_inv.transpose() @ gram @ b_inv)
+    # at the default multiplier the oracle answers for every basis in d <= 3
+    assert dv_cell_oracle(LatticeBasis(b @ u), q) == \
+        dv_cell_oracle(LatticeBasis(b), q)
+
+
+def _low_dimensional_corpus():
+    with open(bundled_corpus_path(), encoding="utf-8") as handle:
+        return [entry["normal_set"] for entry in json.load(handle)
+                if entry["normal_set"]["dim"] <= 3
+                and "error" not in entry["expected"]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(_low_dimensional_corpus()), st.integers(0, 2**32))
+def test_oracle_matches_the_zonotope_under_seeded_weights(doc, seed):
+    rng = random.Random(seed)
+    ns = NormalSet(doc["dim"], parse_normal_set(doc).normals,
+                   tuple(Fraction(rng.randint(1, 60), rng.randint(1, 9))
+                         for _ in doc["normals"]))
+    vertices = dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
+    assert vertices == vertices_oracle(dv_zonotope(ns))
+    assert tuple(vd.vertex for vd in delone_duality_check(ns).entries) == \
+        vertices
 
 
 # ---------------------------------------------------------------------------
