@@ -17,14 +17,18 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (RatMatrix, RatVector, _bareiss, _bareiss_det,
-                      _cleared_rows, first_parallel_pair, independent_spans,
-                      inverse, kernel_line, rank, unit_vector)
+from .ratgeom import (RatMatrix, RatVector, _as_rational, _bareiss,
+                      _bareiss_det, _cleared_rows, first_parallel_pair,
+                      independent_spans, inverse, kernel_line, rank,
+                      unit_vector)
 
 
 @dataclass(frozen=True)
 class NormalSet:
-    """One normal and one positive weight per hyperplane family."""
+    """One normal and one positive weight per hyperplane family.
+
+    Weights must be int or Fraction; floats and strings raise TypeError.
+    """
 
     dimension: int
     normals: tuple[RatVector, ...]
@@ -34,7 +38,7 @@ class NormalSet:
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "normals", tuple(normals))
         object.__setattr__(self, "weights",
-                           tuple(Fraction(w) for w in weights))
+                           tuple(_as_rational(w) for w in weights))
         self._validate()
 
     def _validate(self):

@@ -25,36 +25,38 @@ from .errors import (BasisCheckFailed, CertificationError, DimensionMismatch,
                      InternalFault, Mismatch, NotInLattice, NotPositiveDefinite,
                      ZonocertError)
 from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _as_rational,
-                      _bareiss, _cleared_rows, det, dual_lattice_basis,
-                      hnf_lattice_basis, inverse, lattice_contains, rank,
-                      same_lattice, zero_vector)
+                      _bareiss, _cleared_rows, _common_cleared, _pivot, det,
+                      dual_lattice_basis, hnf_lattice_basis, inverse,
+                      lattice_contains, rank, same_lattice, zero_vector)
 from .zonotope import FacetDescriptor, Zonotope, facets
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-def _ldl(g: RatMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower triangular L; requires positive D.
+def _schur_blocks(g: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
+    """Per level j of a symmetric integer matrix g, the leading principal
+    minor D_j of order j (D_0 = 1) and the trailing block S_j that j
+    fraction-free pivot steps on the diagonal leave.
 
-    D_j is the ratio of the leading principal minors of orders j + 1 and
-    j, so the first D_j <= 0 names the first minor that is not positive.
+    By Sylvester's identity S_j / D_j is the Schur complement of the
+    leading j x j block, so with c_T = (c_j, ..., c_{n-1}) the minimum of
+    c^T g c over real c_0, ..., c_{j-1} is c_T^T S_j c_T / D_j.  The pivot
+    S_j[0][0] is D_{j+1}; the first one that is not positive names the
+    first leading principal minor that is not positive.
     """
-    n = g.rows
-    lower = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    diag = [_ZERO] * n
-    for j in range(n):
-        diag[j] = g.entries[j][j] - sum(
-            (diag[k] * lower[j][k] * lower[j][k] for k in range(j)), _ZERO)
-        if diag[j] <= 0:
+    out = []
+    prev, block = 1, g
+    for j in range(len(g)):
+        out.append((prev, block))
+        piv = block[0][0]
+        if piv <= 0:
             raise NotPositiveDefinite(
                 f"leading principal minor of order {j + 1} is not positive")
-        for i in range(j + 1, n):
-            lower[i][j] = (g.entries[i][j] - sum(
-                (diag[k] * lower[i][k] * lower[j][k] for k in range(j)), _ZERO)
-            ) / diag[j]
-    return lower, diag
+        work = [row[:] for row in block]
+        _pivot(work, 0, 0, prev, [1] * len(work))
+        prev, block = piv, [row[1:] for row in work[1:]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ class QuadraticForm:
             raise NotPositiveDefinite("form matrix must be square")
         if m.entries != m.transpose().entries:
             raise NotPositiveDefinite("form matrix must be symmetric")
-        _ldl(m)
+        # a positive common scale keeps the sign of every leading minor
+        _schur_blocks(_common_cleared(m.entries)[1])
 
     @property
     def dimension(self) -> int:
@@ -77,9 +80,6 @@ class QuadraticForm:
 
     def value(self, v: RatVector) -> Fraction:
         return v.dot(self.matrix @ v)
-
-    def pairing(self, u: RatVector, v: RatVector) -> Fraction:
-        return u.dot(self.matrix @ v)
 
 
 def quadratic_form(ns: NormalSet) -> QuadraticForm:
@@ -260,82 +260,44 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
 # brute-force cell oracle
 
 
-def _interval(center: Fraction, bound: Fraction) -> range:
-    """Integers k with (k + center)^2 <= bound, by exact comparisons."""
-    if bound < 0:
-        return range(0)
-    spread = math.isqrt(math.floor(bound)) + 2
-    hi_cap = math.floor(-center) + spread
-    lo = math.ceil(-center) - spread
-    while (lo + center) * (lo + center) > bound:
-        lo += 1
-        if lo > hi_cap:
-            return range(0)
-    hi = hi_cap
-    while (hi + center) * (hi + center) > bound:
-        hi -= 1
-    return range(lo, hi + 1)
-
-
-def _integer_gram(lattice: LatticeBasis, q: QuadraticForm
-                  ) -> tuple[int, list[list[int]]]:
-    """The scale s and the integer matrix sG of the Gram matrix G = B^T Q B.
-
-    s is the lcm of the denominators of G, so the form value of the
-    lattice vector Bc is phi(Bc) = Phi(c) / s with Phi(c) = c^T (sG) c an
-    integer for every integer coefficient vector c.
-    """
-    b = lattice.basis
-    gram = b.transpose() @ (q.matrix @ b)
-    (flat,), s = _cleared_rows([[e for row in gram.entries for e in row]])
-    n = lattice.dimension
-    return s, [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
-def _short_vectors(lattice: LatticeBasis, q: QuadraticForm, bound: Fraction
+def _short_vectors(gram: list[list[int]], cap: int
                    ) -> list[tuple[tuple[int, ...], int]]:
-    """All nonzero lattice vectors with form value at most the bound.
+    """All nonzero integer c with Phi(c) = c^T gram c at most cap, each
+    paired with Phi(c), for a positive definite integer Gram matrix.
 
-    Each vector Bc comes as its integer coefficient tuple c in the lattice
-    basis B, paired with its integer form value Phi(c) = s phi(Bc) (see
-    _integer_gram).  The outer coefficients run the LDL^T recursion of
-    the Gram matrix (Fincke-Pohst); the innermost one ranges over the
-    integers k with Phi <= s * bound, a quadratic inequality in k solved
-    exactly with isqrt.
+    Fincke-Pohst on the integer Schur blocks of the Gram matrix (see
+    _schur_blocks): the coefficients are fixed from c_{n-1} down to c_0,
+    and at level j, with the later ones fixed, k = c_j can extend to a
+    point with Phi <= cap only if a k^2 + 2 beta k + gamma <= D_j cap,
+    where a = S_j[0][0], beta = S_j[0][1:] . c_T' and gamma = c_T'^T
+    S_j[1:, 1:] c_T' for c_T' = (c_{j+1}, ..., c_{n-1}).  That is
+    (a k + beta)^2 <= beta^2 - a (gamma - D_j cap), solved exactly with
+    isqrt; at level 0, D_0 = 1 and the left side is Phi itself.
     """
-    s, gram = _integer_gram(lattice, q)
-    lower, diag = _ldl(RatMatrix(gram))
-    n = lattice.dimension
-    cap = math.floor(s * bound)
-    coeffs = [0] * n
+    blocks = _schur_blocks(gram)
+    coeffs = [0] * len(gram)
     found: list[tuple[tuple[int, ...], int]] = []
 
-    def descend(level: int, remaining: Fraction):
-        if level == 0:
-            # Phi = a k^2 + 2 beta k + gamma for k = c_0, and Phi <= cap
-            # exactly when (a k + beta)^2 <= beta^2 - a (gamma - cap)
-            rest = coeffs[1:]
-            a = gram[0][0]
-            beta = sum(map(mul, gram[0][1:], rest))
-            gamma = sum(c * sum(map(mul, row[1:], rest))
-                        for c, row in zip(rest, gram[1:]))
-            disc = beta * beta - a * (gamma - cap)
-            if disc < 0:
-                return
-            r = math.isqrt(disc)
-            for k in range(-((r + beta) // a), (r - beta) // a + 1):
-                if k or any(rest):
-                    found.append(((k, *rest), (a * k + 2 * beta) * k + gamma))
+    def descend(j: int):
+        prev, block = blocks[j]
+        rest = coeffs[j + 1:]
+        a = block[0][0]
+        beta = sum(map(mul, block[0][1:], rest))
+        gamma = sum(c * sum(map(mul, row[1:], rest))
+                    for c, row in zip(rest, block[1:]))
+        disc = beta * beta - a * (gamma - prev * cap)
+        if disc < 0:
             return
-        center = sum((lower[i][level] * coeffs[i]
-                      for i in range(level + 1, n)), _ZERO)
-        for k in _interval(center, remaining / diag[level]):
-            coeffs[level] = k
-            step = diag[level] * (k + center) * (k + center)
-            descend(level - 1, remaining - step)
-        coeffs[level] = 0
+        r = math.isqrt(disc)
+        for k in range(-((r + beta) // a), (r - beta) // a + 1):
+            if j:
+                coeffs[j] = k
+                descend(j - 1)
+            elif k or any(rest):
+                found.append(((k, *rest), (a * k + 2 * beta) * k + gamma))
+        coeffs[j] = 0
 
-    descend(n - 1, s * bound)
+    descend(len(gram) - 1)
     return found
 
 
@@ -352,11 +314,14 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     which by the Cauchy-Schwarz bound rules out any forgotten constraint.
     Vertices and their equidistant points (origin included) are sorted.
 
-    All of it runs in integers: a lattice point Bc is its coefficient
-    tuple c with the integer form value Phi(c) = s phi(Bc), and a point x
-    of space is its dual coordinate vector z = 2s B^T Q x, in which the
-    bisector half-space x . Q(Bc) <= phi(Bc)/2 reads z . c <= Phi(c).
-    Only the vertices and their equidistant points are mapped back.
+    All of it runs in integers.  The Gram matrix G = B^T Q B of the
+    lattice basis B is built once and cleared by the lcm s of its
+    denominators; a lattice point Bc is its coefficient tuple c with the
+    integer form value Phi(c) = c^T (sG) c = s phi(Bc), enumerated by
+    _short_vectors on sG, and a point x of space is its dual coordinate
+    vector z = 2s B^T Q x, in which the bisector half-space
+    x . Q(Bc) <= phi(Bc)/2 reads z . c <= Phi(c).  Only the vertices and
+    their equidistant points are mapped back.
     """
     d = lattice.dimension
     if d > 3:
@@ -367,13 +332,13 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     if radius_multiplier <= 0:
         raise ValueError("radius multiplier must be positive")
     b = lattice.basis
-    s, gram = _integer_gram(lattice, q)
+    s, gram = _common_cleared((b.transpose() @ (q.matrix @ b)).entries)
     # Phi of the basis vectors and of their pairwise sums
     norms = [gram[i][i] for i in range(d)]
     norms += [gram[i][i] + 2 * gram[i][j] + gram[j][j]
               for i, j in itertools.combinations(range(d), 2)]
     radius = radius_multiplier * Fraction(max(norms), s)
-    enumerated = _short_vectors(lattice, q, radius)
+    enumerated = _short_vectors(gram, math.floor(s * radius))
 
     # A decomposition lam = mu + nu with phi(mu) + phi(nu) <= phi(lam)
     # always has a member with phi <= phi(lam)/2, so scanning the sorted

@@ -6,8 +6,11 @@ Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
 rows; kernels are read off its integer rows as integer vectors, with no
 rational echelon form in between.  The same pivot step, ``_pivot``, also
-drives the integer simplex tableau of the hull oracle in ``zonotope``.
-Only the Hermite form has its own integer column reduction.
+drives the integer simplex tableau of the hull oracle in ``zonotope`` and
+the integer Schur complements behind the positive definiteness check of
+quadratic forms and the short-vector enumeration of the cell oracle in
+``parallelohedron``.  Only the Hermite form has its own integer column
+reduction.
 """
 
 from __future__ import annotations
@@ -207,6 +210,14 @@ def _cleared_rows(rows: Iterable[Sequence[Fraction]]
         out.append([e.numerator * (den // e.denominator) for e in row])
         factor *= den
     return out, factor
+
+
+def _common_cleared(rows: Sequence[Sequence[Fraction]]
+                    ) -> tuple[int, list[list[int]]]:
+    """Scale all rows by one common denominator s, the lcm of every
+    entry's denominator; returns s and the integer rows."""
+    s = math.lcm(*(e.denominator for row in rows for e in row))
+    return s, [[e.numerator * (s // e.denominator) for e in row] for row in rows]
 
 
 def _primitive(ints: Sequence[int]) -> RatVector:
@@ -460,8 +471,7 @@ def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
     dim = generators[0].dim
     if any(g.dim != dim for g in generators):
         raise ValueError("generators of mixed dimension")
-    den = math.lcm(*(e.denominator for g in generators for e in g.entries))
-    cols = [[e.numerator * (den // e.denominator) for e in g] for g in generators]
+    den, cols = _common_cleared(generators)
     fixed = _column_hnf(cols, dim)
     if len(fixed) < dim:
         raise DegenerateSpan(

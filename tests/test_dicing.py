@@ -53,6 +53,15 @@ def test_normal_set_rejects_dimension_mismatch():
         NormalSet(3, (vec(1, 0), vec(0, 1)), (Fraction(1), Fraction(1)))
 
 
+def test_normal_set_takes_int_and_fraction_weights_only():
+    normals = (vec(1, 0), vec(0, 1))
+    assert NormalSet(2, normals, (2, Fraction(1, 3))).weights == \
+        (Fraction(2), Fraction(1, 3))
+    for bad in (0.1, 1.0, "1/3", "2"):
+        with pytest.raises(TypeError):
+            NormalSet(2, normals, (1, bad))
+
+
 # ---------------------------------------------------------------------------
 # edge sets
 

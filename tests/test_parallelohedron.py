@@ -1,7 +1,9 @@
 """The certification pipeline: form, zone vectors, cell, facet vectors."""
 
 import dataclasses
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from zonocert.errors import (BasisCheckFailed, CertificationError,
                              EnumerationInsufficient, Mismatch, NotADicing,
                              NotPositiveDefinite)
 from zonocert.jsonio import parse_normal_set
+from zonocert.parallelohedron import _short_vectors
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
@@ -236,6 +239,78 @@ def test_oracle_matches_the_zonotope_under_seeded_weights(doc, seed):
     assert vertices == vertices_oracle(dv_zonotope(ns))
     assert tuple(vd.vertex for vd in delone_duality_check(ns).entries) == \
         vertices
+
+
+def _identity_plus_gram(d):
+    # C^T C + D for integer C and a diagonal D >= 1, so the form is at
+    # least the identity and Phi(c) <= cap forces |c_i| <= isqrt(cap)
+    square = st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+    diagonal = st.lists(st.integers(1, 3), min_size=d, max_size=d)
+
+    def build(c, diag):
+        return [[sum(row[i] * row[j] for row in c) + (diag[i] if i == j else 0)
+                 for j in range(d)] for i in range(d)]
+    return st.builds(build, square, diagonal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(_identity_plus_gram), st.data())
+def test_short_vectors_match_a_box_enumeration(gram, data):
+    d = len(gram)
+    cap = data.draw(st.integers(0, max(gram[i][i] for i in range(d)) + 3))
+    r = math.isqrt(cap)
+    box = {}
+    for c in itertools.product(range(-r, r + 1), repeat=d):
+        phi = sum(c[i] * gram[i][j] * c[j] for i in range(d) for j in range(d))
+        if any(c) and phi <= cap:
+            box[c] = phi
+    found = _short_vectors(gram, cap)
+    assert (0,) * d not in dict(found)
+    assert len(found) == len(box)
+    assert dict(found) == box
+
+
+def _leibniz_det(rows):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        term = Fraction(-1) ** sum(
+            perm[i] > perm[j]
+            for i, j in itertools.combinations(range(len(perm)), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _symmetric(n):
+    # mixed denominators; a diagonal shift makes positive definite
+    # matrices as common as indefinite ones
+    upper = st.lists(_rationals(-6, 6), min_size=n * (n + 1) // 2,
+                     max_size=n * (n + 1) // 2)
+
+    def build(entries, shift):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), e in zip(itertools.combinations_with_replacement(
+                range(n), 2), entries):
+            rows[i][j] = rows[j][i] = e + (shift if i == j else 0)
+        return rows
+    return st.builds(build, upper, st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(_symmetric))
+def test_form_is_accepted_exactly_when_every_leading_minor_is_positive(rows):
+    first_bad = next((k for k in range(1, len(rows) + 1)
+                      if _leibniz_det([row[:k] for row in rows[:k]]) <= 0),
+                     None)
+    if first_bad is None:
+        assert QuadraticForm(RatMatrix(rows)).matrix == RatMatrix(rows)
+    else:
+        with pytest.raises(NotPositiveDefinite) as info:
+            QuadraticForm(RatMatrix(rows))
+        assert str(info.value) == \
+            f"leading principal minor of order {first_bad} is not positive"
 
 
 # ---------------------------------------------------------------------------
