@@ -14,7 +14,7 @@ from .ratgeom import (LatticeBasis, RatMatrix, Rational, RatVector,
                       canonical_direction, det, dual_lattice_basis,
                       hnf_lattice_basis, inverse, kernel_basis, kernel_line,
                       lattice_contains, lattice_coordinates, rank, rref,
-                      same_lattice, solve)
+                      same_lattice)
 from .zonotope import (FacetDescriptor, RidgeClass, VenkovReport, Zonotope,
                        facets, hull_facet_planes, ridge_classification,
                        support_value, venkov_check, vertices_oracle)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rational", "RatVector", "RatMatrix", "LatticeBasis",
-    "rank", "det", "inverse", "kernel_line", "kernel_basis", "rref", "solve",
+    "rank", "det", "inverse", "kernel_line", "kernel_basis", "rref",
     "canonical_direction", "hnf_lattice_basis", "dual_lattice_basis",
     "lattice_contains", "lattice_coordinates", "same_lattice",
     "NormalSet", "EdgeSet", "DicingRep", "compute_edge_set",

@@ -188,10 +188,9 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
         raise _UsageError("a lattice patch needs a normal_set input")
     if patch_radius == 0:
         return [zero_vector(dim)]
-    cols = lattice_of_dicing(ns).vectors
+    basis = lattice_of_dicing(ns).basis
     span = range(-patch_radius, patch_radius + 1)
-    offsets = [sum((v.scale(c) for c, v in zip(coeffs, cols)), zero_vector(dim))
-               for coeffs in itertools.product(span, repeat=dim)]
+    offsets = [basis @ RatVector(c) for c in itertools.product(span, repeat=dim)]
     return sorted(offsets, key=lambda v: v.entries)
 
 

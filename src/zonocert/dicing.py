@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (RatMatrix, RatVector, _as_rational, _bareiss,
+from .ratgeom import (RatMatrix, RatVector, _as_index, _as_rational, _bareiss,
                       _bareiss_det, _cleared_rows, first_parallel_pair,
                       independent_spans, inverse, kernel_line, rank,
                       unit_vector)
@@ -27,7 +27,8 @@ from .ratgeom import (RatMatrix, RatVector, _as_rational, _bareiss,
 class NormalSet:
     """One normal and one positive weight per hyperplane family.
 
-    Weights must be int or Fraction; floats and strings raise TypeError.
+    The dimension must be an int and the weights int or Fraction; bools,
+    floats and strings raise TypeError.
     """
 
     dimension: int
@@ -35,7 +36,7 @@ class NormalSet:
     weights: tuple[Fraction, ...]
 
     def __init__(self, dimension, normals, weights):
-        object.__setattr__(self, "dimension", int(dimension))
+        object.__setattr__(self, "dimension", _as_index(dimension))
         object.__setattr__(self, "normals", tuple(normals))
         object.__setattr__(self, "weights",
                            tuple(_as_rational(w) for w in weights))
@@ -69,7 +70,7 @@ class EdgeSet:
     """Half set of dicing edges, one per kernel line, with provenance.
 
     ``provenance[k]`` is the first index subset of normals whose kernel
-    line produced ``edges[k]``.
+    line produced ``edges[k]``.  The dimension and the indices must be ints.
     """
 
     dimension: int
@@ -77,10 +78,10 @@ class EdgeSet:
     provenance: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension, edges, provenance):
-        object.__setattr__(self, "dimension", int(dimension))
+        object.__setattr__(self, "dimension", _as_index(dimension))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "provenance",
-                           tuple(tuple(int(i) for i in p) for p in provenance))
+                           tuple(tuple(map(_as_index, p)) for p in provenance))
         if len(self.edges) != len(self.provenance):
             raise ValueError("one provenance subset per edge required")
         pair = first_parallel_pair(self.edges)

@@ -25,9 +25,9 @@ from .errors import (BasisCheckFailed, CertificationError, DimensionMismatch,
                      InternalFault, Mismatch, NotInLattice, NotPositiveDefinite,
                      ZonocertError)
 from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _as_rational,
-                      _bareiss, _cleared_rows, _common_cleared, _pivot, det,
+                      _bareiss, _common_cleared, _pivot, det,
                       dual_lattice_basis, hnf_lattice_basis, inverse,
-                      lattice_contains, rank, same_lattice, zero_vector)
+                      lattice_contains, rank, same_lattice)
 from .zonotope import FacetDescriptor, Zonotope, facets
 
 _ZERO = Fraction(0)
@@ -248,7 +248,7 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
         if any(c.denominator != 1 for c in coords.entries):
             raise BasisCheckFailed(
                 f"facet vector {k} is fractional in the extracted basis")
-    coord_matrix = inverse(lattice.basis) @ basis_matrix
+    coord_matrix = lattice.inverse @ basis_matrix
     determinant = det(coord_matrix)
     if abs(determinant) != 1:
         raise BasisCheckFailed(
@@ -258,6 +258,15 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
 
 # ---------------------------------------------------------------------------
 # brute-force cell oracle
+
+
+@dataclass(frozen=True)
+class VertexDuality:
+    """A cell vertex with its equidistant lattice points and radius."""
+
+    vertex: RatVector
+    equidistant: tuple[RatVector, ...]
+    radius: Fraction
 
 
 def _short_vectors(gram: list[list[int]], cap: int
@@ -302,8 +311,8 @@ def _short_vectors(gram: list[list[int]], cap: int
 
 
 def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fraction
-               ) -> list[tuple[RatVector, tuple[RatVector, ...]]]:
-    """Vertices of the DV cell, each with its equidistant lattice points.
+               ) -> list[VertexDuality]:
+    """Cell vertices, each with its equidistant lattice points and phi(x).
 
     Enumerates lattice vectors up to a radius, prunes half-space
     constraints that are implied by a two-term decomposition, intersects
@@ -320,8 +329,8 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     integer form value Phi(c) = c^T (sG) c = s phi(Bc), enumerated by
     _short_vectors on sG, and a point x of space is its dual coordinate
     vector z = 2s B^T Q x, in which the bisector half-space
-    x . Q(Bc) <= phi(Bc)/2 reads z . c <= Phi(c).  Only the vertices and
-    their equidistant points are mapped back.
+    x . Q(Bc) <= phi(Bc)/2 reads z . c <= Phi(c).  B cleared by one lcm t
+    gives t Bc, the tie-break of Phi and, over t, the point Bc in space.
     """
     d = lattice.dimension
     if d > 3:
@@ -342,12 +351,12 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
 
     # A decomposition lam = mu + nu with phi(mu) + phi(nu) <= phi(lam)
     # always has a member with phi <= phi(lam)/2, so scanning the sorted
-    # prefix loses no pruning.  Ties in phi break by the entries of Bc,
-    # compared through the rows of B cleared to integers, so vertices are
-    # found, and a failing one is named, in the order of space coordinates.
-    rows, _ = _cleared_rows(b.entries)
-    enumerated.sort(key=lambda item: (
-        item[1], tuple(sum(map(mul, row, item[0])) for row in rows)))
+    # prefix loses no pruning.  Ties in phi break by t Bc, in the order of
+    # the entries of Bc as t > 0, so vertices are found, and a failing one
+    # is named, in the order of space coordinates.
+    t, rows = _common_cleared(b.entries)
+    image = {c: tuple(sum(map(mul, r, c)) for r in rows) for c, _ in enumerated}
+    enumerated.sort(key=lambda item: (item[1], image[item[0]]))
     values = dict(enumerated)
     phis = [phi for _, phi in enumerated]
     # one half-space z . c <= Phi(c) per enumerated lattice point
@@ -389,7 +398,8 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     vertices = [(back @ RatVector(num)).scale(Fraction(1, den))
                 for num, den in candidates]
 
-    peak = max(q.value(x) for x in vertices)
+    radii = [q.value(x) for x in vertices]
+    peak = max(radii)
     if 4 * peak > radius:
         raise EnumerationInsufficient(
             "enumeration radius too small to certify the vertex set; "
@@ -403,21 +413,21 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     limit = math.floor(4 * s * peak)
     near = [(c, phi) for c, phi in enumerated if phi <= limit]
     cells = []
-    for (num, den), x in zip(candidates, vertices):
-        equidistant = [zero_vector(d)]
+    for (num, den), x, phi_x in zip(candidates, vertices, radii):
+        equidistant = [(0,) * d]
         for c, phi in near:
             h = sum(map(mul, c, num))
             if h > den * phi:
                 raise InternalFault("cell vertex closer to a nonzero lattice point")
             if h == den * phi:
-                equidistant.append(b @ RatVector(c))
+                equidistant.append(image[c])
         if len(equidistant) < d + 1:
             raise EnumerationInsufficient(
                 f"vertex {x.entries} is equidistant to only {len(equidistant)} "
                 "lattice points; increase the radius multiplier")
-        equidistant.sort(key=lambda v: v.entries)
-        cells.append((x, tuple(equidistant)))
-    cells.sort(key=lambda cell: cell[0].entries)
+        cells.append(VertexDuality(x, tuple(RatVector(Fraction(e, t) for e in p)
+                                            for p in sorted(equidistant)), phi_x))
+    cells.sort(key=lambda cell: cell.vertex.entries)
     return cells
 
 
@@ -430,23 +440,14 @@ def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm,
     the form values of the basis vectors and their pairwise sums, scaled
     by the multiplier; if that provably cannot bound the cell the oracle
     raises EnumerationInsufficient rather than guessing.  The multiplier
-    must be an int or a Fraction.
+    must be an int or a Fraction; delone_duality_check reports these cells.
     """
-    return tuple(x for x, _ in _cell_data(lattice, q,
-                                          _as_rational(radius_multiplier)))
+    return tuple(cell.vertex for cell in _cell_data(
+        lattice, q, _as_rational(radius_multiplier)))
 
 
 # ---------------------------------------------------------------------------
 # Delone duality
-
-
-@dataclass(frozen=True)
-class VertexDuality:
-    """A cell vertex with its equidistant lattice points and radius."""
-
-    vertex: RatVector
-    equidistant: tuple[RatVector, ...]
-    radius: Fraction
 
 
 @dataclass(frozen=True)
@@ -470,19 +471,19 @@ def delone_duality_check(ns: NormalSet,
         raise DimensionTooLarge("duality check supports dimension at most 3")
     lat = lattice_of_dicing(ns)
     q = quadratic_form(ns)
-    out = []
-    for x, equidistant in _cell_data(lat, q, _as_rational(radius_multiplier)):
-        diffs = [p - equidistant[0] for p in equidistant[1:]]
-        if rank(RatMatrix.from_rows(diffs, cols=d)) != d:
+    cells = _cell_data(lat, q, _as_rational(radius_multiplier))
+    for cell in cells:
+        first, *rest = cell.equidistant
+        if rank(RatMatrix.from_rows([p - first for p in rest], cols=d)) != d:
             raise DualityViolation(
-                f"equidistant set of vertex {x.entries} does not affinely span")
-        for p in equidistant:
+                f"equidistant set of vertex {cell.vertex.entries} "
+                "does not affinely span")
+        for p in cell.equidistant:
             for k, v in enumerate(ns.normals):
                 if v.dot(p).denominator != 1:
                     raise DualityViolation(
                         f"equidistant point {p.entries} misses family {k}")
-        out.append(VertexDuality(x, equidistant, q.value(x)))
-    return DualityReport(d, tuple(out))
+    return DualityReport(d, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +606,7 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
                 coords = chosen_inv @ v
                 if any(c.denominator != 1 for c in coords.entries):
                     bad.append(f"facet vector {k} fractional in the stored basis")
-            coord_det = det(inverse(cert.lattice.basis) @ chosen)
+            coord_det = det(cert.lattice.inverse @ chosen)
             if abs(coord_det) != 1:
                 bad.append(f"stored basis has lattice determinant {coord_det}")
             if abs(cert.lattice_coordinate_det) != 1 or \

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -36,6 +36,14 @@ def _as_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _as_index(x) -> int:
+    """Accept an int as a dimension or index; reject bool, float and str
+    instead of truncating or parsing them."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"expected int, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +400,25 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
 
 
-def solve(m: RatMatrix, b: RatVector) -> RatVector:
-    """Solve m x = b for square m."""
-    return inverse(m) @ b
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-rank lattice basis; columns of ``basis`` are the basis vectors."""
+    """Full-rank lattice basis; columns of ``basis`` are the basis vectors.
+    ``inverse``, computed once, maps space to lattice coordinates."""
 
     basis: RatMatrix
+    inverse: RatMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis.rows != self.basis.cols:
             raise NotSquare("lattice basis matrix must be square")
-        if det(self.basis) == 0:
-            raise Singular("lattice basis columns are dependent")
+        try:
+            object.__setattr__(self, "inverse", inverse(self.basis))
+        except Singular:
+            raise Singular("lattice basis columns are dependent") from None
 
     @property
     def dimension(self) -> int:
@@ -483,12 +490,12 @@ def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
 
 def dual_lattice_basis(b: LatticeBasis) -> LatticeBasis:
     """Dual lattice basis: the inverse transpose of the primal basis."""
-    return LatticeBasis(inverse(b.basis).transpose())
+    return LatticeBasis(b.inverse.transpose())
 
 
 def lattice_coordinates(b: LatticeBasis, v: RatVector) -> RatVector:
     """Coordinates of v in the basis, exact."""
-    return solve(b.basis, v)
+    return b.inverse @ v
 
 
 def lattice_contains(b: LatticeBasis, v: RatVector) -> bool:

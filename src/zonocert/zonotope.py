@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
-from .ratgeom import (RatMatrix, RatVector, _cleared_rows, _pivot,
+from .ratgeom import (RatMatrix, RatVector, _as_index, _cleared_rows, _pivot,
                       canonical_direction, independent_spans, kernel_basis,
                       kernel_line, rank)
 
@@ -38,14 +38,14 @@ class Zonotope:
     Parallel input generators are merged at construction: a later v with
     v == c*g extends the earlier generator g to (1 + |c|)*g, keeping the
     first seen orientation.  Generators must be nonzero and span the
-    ambient space.
+    ambient space; the dimension must be an int.
     """
 
     dimension: int
     generators: tuple[RatVector, ...]
 
     def __init__(self, dimension, generators):
-        d = int(dimension)
+        d = _as_index(dimension)
         # canonical direction -> merged generator, in order of first sight
         merged: dict[tuple[Fraction, ...], RatVector] = {}
         for k, v in enumerate(generators):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (NormalSet, RatMatrix, apply_affine, compute_edge_set,
+from zonocert import (EdgeSet, NormalSet, RatMatrix, apply_affine,
+                      compute_edge_set,
                       det, first_basis_indices, hnf_lattice_basis, inverse,
                       is_totally_unimodular, lattice_of_dicing, rank,
                       same_lattice, unimodular_representation)
 from zonocert.errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
-                             Singular)
+                             RepresentationCheckFailed, Singular)
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
@@ -60,6 +61,25 @@ def test_normal_set_takes_int_and_fraction_weights_only():
     for bad in (0.1, 1.0, "1/3", "2"):
         with pytest.raises(TypeError):
             NormalSet(2, normals, (1, bad))
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "2", True])
+def test_normal_set_dimension_must_be_an_int(bad):
+    with pytest.raises(TypeError):
+        NormalSet(bad, (vec(1, 0), vec(0, 1)), (1, 1))
+
+
+@pytest.mark.parametrize("bad", [2.0, "2", True])
+def test_edge_set_dimension_must_be_an_int(bad):
+    with pytest.raises(TypeError):
+        EdgeSet(bad, (vec(1, 0),), ((0,),))
+
+
+@pytest.mark.parametrize("bad", [0.9, "0", False])
+def test_edge_set_provenance_indices_must_be_ints(bad):
+    with pytest.raises(TypeError):
+        EdgeSet(2, (vec(1, 0),), ((bad,),))
+    assert EdgeSet(2, (vec(1, 0),), ((1,),)).provenance == ((1,),)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +231,21 @@ def test_representation_invariants(rows):
         for i in range(d):
             assert tuple(Fraction(int(i == j)) for j in range(d)) in cols
     assert is_totally_unimodular(rep.normals_matrix)
+
+
+@pytest.mark.parametrize("rows, edges, message", [
+    (SQUARE, [(1, 1)], "no edge is dual to basis normal 0"),
+    (SQUARE, [(2, 0), (0, 1)], "edge 0 pairs 2 with basis normal 0"),
+    ([(1, 0), (0, 1), (1, 2)], [(1, 0), (0, 1)],
+     "normal column 2 has entry 2 outside 0/+-1"),
+    # the minor of (1, 1, 0), (0, 1, 1), (1, 0, 1) has determinant 2
+    (CUBIC + [(1, 1, 0), (0, 1, 1), (1, 0, 1)], CUBIC,
+     "normal matrix is not totally unimodular")])
+def test_representation_names_the_failed_check(rows, edges, message):
+    es = EdgeSet(len(rows[0]), [vec(*e) for e in edges], [(0,)] * len(edges))
+    with pytest.raises(RepresentationCheckFailed) as err:
+        unimodular_representation(normal_set(rows), es)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("rows", DICING_FIXTURES)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (EdgeSet, LatticeBasis, NormalSet, QuadraticForm,
-                      RatMatrix, RatVector, certify_second_voronoi,
+from zonocert import (EdgeSet, FacetVectorSet, LatticeBasis, NormalSet,
+                      QuadraticForm, RatMatrix, RatVector, certify_second_voronoi,
                       check_n_equals_e, compute_edge_set, delone_duality_check,
                       det, dv_cell_oracle, dv_zonotope, extract_basis,
                       facet_vectors, facets, hnf_lattice_basis, inverse,
@@ -439,6 +439,23 @@ def test_duality_cube_vertex():
     assert len(target.equidistant) == 8
 
 
+@pytest.mark.parametrize("rows, weights", [
+    (CHECKER, None), (HEXAGONAL, [1, 2, 3]), (FIVE_FAMILY, [1, 2, 3, 4, 5])])
+def test_duality_records_match_a_box_search(rows, weights):
+    # CHECKER has a half-integer lattice; the weights give vertices of
+    # different radii
+    ns = normal_set(rows, weights)
+    q = quadratic_form(ns)
+    basis = lattice_of_dicing(ns).basis
+    box = [basis @ RatVector(c)
+           for c in itertools.product(range(-3, 4), repeat=ns.dimension)]
+    for vd in delone_duality_check(ns).entries:
+        assert vd.radius == q.value(vd.vertex)
+        assert min(q.value(vd.vertex - p) for p in box) == vd.radius
+        ties = [p for p in box if q.value(vd.vertex - p) == vd.radius]
+        assert vd.equidistant == tuple(sorted(ties, key=lambda p: p.entries))
+
+
 @pytest.mark.parametrize("rows", [SQUARE, HEXAGONAL, CHECKER, CUBIC, RHOMBIC,
                                   FIVE_FAMILY])
 def test_duality_families_pass_through_equidistant_points(rows):
@@ -514,6 +531,66 @@ def test_verifier_flags_tampered_generators():
     cert = certify_second_voronoi(normal_set(HEXAGONAL))
     bad = dataclasses.replace(cert, zonotope=dv_zonotope(normal_set(SQUARE)))
     assert not verify_certificate(bad).ok
+
+
+def _with_vectors(cert, vectors):
+    return dataclasses.replace(cert, facet_vectors=FacetVectorSet(vectors))
+
+
+def _drop_facet_vector(cert):
+    return (_with_vectors(cert, cert.facet_vectors.vectors[:-1]),
+            "edge and facet vector counts differ")
+
+
+def _drop_matched_pair(cert):
+    return (dataclasses.replace(cert, ne_bijection=cert.ne_bijection[:-1]),
+            "ne_bijection is not a complete matching")
+
+
+def _double_edge(cert):
+    es = cert.edge_set
+    doubled = es.edges[0].scale(2)
+    edge_set = dataclasses.replace(es, edges=(doubled,) + es.edges[1:])
+    return (dataclasses.replace(cert, edge_set=edge_set),
+            f"edge {doubled.entries} pairs 2 with a normal")
+
+
+def _double_lattice(cert):
+    lattice = LatticeBasis(cert.lattice.basis.scale(2))
+    return (dataclasses.replace(cert, lattice=lattice),
+            "stored lattice is not the dicing lattice")
+
+
+def _halve_facet_vector(cert):
+    first, *rest = cert.facet_vectors.vectors
+    half = first.scale(Fraction(1, 2))
+    return (_with_vectors(cert, (half, *rest)),
+            f"facet vector {half.entries} is outside the lattice")
+
+
+def _repeat_basis_index(cert):
+    return (dataclasses.replace(cert, basis_indices=(0, 0)),
+            "basis_indices is not a set of d facet vector indices")
+
+
+def _dependent_basis(cert):
+    # (0, 1, 0), (1, 0, 0) and (1, -1, 0) are facet vectors in one plane
+    indices = tuple(cert.facet_vectors.vectors.index(vec(*v))
+                    for v in [(0, 1, 0), (1, 0, 0), (1, -1, 0)])
+    return (dataclasses.replace(cert, basis_indices=indices),
+            "stored basis vectors are linearly dependent")
+
+
+@pytest.mark.parametrize("rows, forge", [
+    (HEXAGONAL, _drop_facet_vector), (HEXAGONAL, _drop_matched_pair),
+    (HEXAGONAL, _double_edge), (HEXAGONAL, _double_lattice),
+    (HEXAGONAL, _halve_facet_vector), (HEXAGONAL, _repeat_basis_index),
+    (RHOMBIC, _dependent_basis)])
+def test_verifier_names_each_forged_invariant(rows, forge):
+    bad, message = forge(certify_second_voronoi(normal_set(rows)))
+    audit = verify_certificate(bad)
+    assert not audit.ok
+    assert message in audit.failures
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
                       det, dual_lattice_basis, hnf_lattice_basis, inverse,
                       kernel_basis, kernel_line, lattice_contains,
-                      lattice_coordinates, rank, rref, same_lattice, solve)
+                      lattice_coordinates, rank, rref, same_lattice)
 from zonocert.errors import (DegenerateSpan, InternalFault, NotSquare,
                              RankMismatch, Singular)
 from zonocert.ratgeom import (_bareiss_det, _cleared_rows, _pivot,
@@ -277,18 +277,6 @@ def test_inverse_is_exact_two_sided(rows):
     assert inverse(m) @ m == ident
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(matrix_rows(n, n), st.lists(rationals, min_size=n,
-                                                    max_size=n))))
-def test_solve_round_trip(data):
-    rows, x_entries = data
-    m = mat(rows)
-    assume(naive_det(rows) != 0)
-    x = vec(*x_entries)
-    assert solve(m, m @ x) == x
-
-
 def test_rref_reports_pivots():
     reduced, pivots = rref(mat([[1, 2, 3], [2, 4, 6]]))
     assert pivots == (0,)
@@ -404,6 +392,16 @@ def test_lattice_basis_rejects_bad_matrices():
         LatticeBasis(mat([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(Singular):
         LatticeBasis(mat([[1, 1], [1, 1]]))
+
+
+def test_lattice_basis_inverts_once_outside_equality_and_repr():
+    b = LatticeBasis(mat([[2, 1], [0, 1]]))
+    assert b.basis @ b.inverse == RatMatrix.identity(2)
+    assert lattice_coordinates(b, vec(3, 1)) == vec(1, 1)
+    assert b == LatticeBasis(mat([[2, 1], [0, 1]]))
+    assert "inverse" not in repr(b)
+    with pytest.raises(Singular, match="^lattice basis columns are dependent$"):
+        LatticeBasis(mat([[1, 2], [2, 4]]))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ def test_zero_generator_rejected():
         zono([(1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True])
+def test_dimension_must_be_an_int(bad):
+    with pytest.raises(TypeError):
+        Zonotope(bad, (vec(1, 0), vec(0, 1)))
+
+
 def test_deficient_span_rejected():
     with pytest.raises(SpanDeficient):
         zono([(1, 0)])
@@ -192,6 +198,10 @@ def test_vertices_are_centrally_symmetric():
     for rows in (HEX_GENERATORS, CUBE, RHOMBIC_GENERATORS, COUNTEREXAMPLE):
         verts = set(vertices_oracle(zono(rows)))
         assert verts == {-v for v in verts}
+
+
+def test_segment_vertices_are_its_two_ends():
+    assert vertices_oracle(zono([(2,), (3,)])) == (vec("-5/2"), vec("5/2"))
 
 
 def test_vertex_oracle_dimension_cap():
