@@ -40,14 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zonocert",
                      description="exact dicing-zonotope certification")
     sub = parser.add_subparsers(dest="verb", metavar="verb")
     sub.required = True
 
-    def add(name, help_text, payload=True):
+    def add(name, help_text, run, payload=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if payload:
             p.add_argument("input", nargs="?", default="-",
                            help="input JSON path, or - for stdin")
@@ -55,20 +57,23 @@ def _build_parser() -> _Parser:
                        help="output path, or - for stdout")
         return p
 
-    add("edges", "edge set of a dicing normal set")
-    add("lattice", "lattice basis of a dicing")
-    add("zonotope", "DV cell of a dicing as a zonotope")
-    add("facets", "facet pairs of a zonotope or of a dicing's DV cell")
-    add("venkov", "ridge-shape report for a zonotope or a dicing's DV cell")
-    p = add("dv-cell", "brute-force DV cell vertices of a dicing")
+    add("edges", "edge set of a dicing normal set", _verb_edges)
+    add("lattice", "lattice basis of a dicing", _verb_lattice)
+    add("zonotope", "DV cell of a dicing as a zonotope", _verb_zonotope)
+    add("facets", "facet pairs of a zonotope or of a dicing's DV cell",
+        _verb_facets)
+    add("venkov", "ridge-shape report for a zonotope or a dicing's DV cell",
+        _verb_venkov)
+    p = add("dv-cell", "brute-force DV cell vertices of a dicing", _verb_dv_cell)
     p.add_argument("--multiplier", default="4",
                    help="enumeration radius multiplier, a positive rational")
-    add("certify", "full certificate for a dicing normal set")
-    p = add("export", "render a DV cell to SVG (d=2) or OBJ (d=3)")
+    add("certify", "full certificate for a dicing normal set", _verb_certify)
+    p = add("export", "render a DV cell to SVG (d=2) or OBJ (d=3)", _verb_export)
     p.add_argument("--format", required=True, choices=("svg", "obj"))
     p.add_argument("--patch-radius", type=int, default=0,
                    help="draw lattice translates with coordinates in [-r, r]")
     p = sub.add_parser("corpus", help="certify every entry of a corpus file")
+    p.set_defaults(run=_verb_corpus)
     p.add_argument("input", nargs="?", default=None,
                    help="corpus JSON path; defaults to the bundled corpus")
     p.add_argument("-o", "--output", default="-")
@@ -86,11 +91,12 @@ def _read_input(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _UsageError(f"cannot read {path}: {err}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers JSONDecodeError and the int digit limit
         raise _UsageError(f"{path}: not valid JSON: {err}")
 
 
@@ -461,30 +467,16 @@ def _verb_corpus(args) -> tuple[int, str]:
     return (0 if passed == len(entries) else 2), "\n".join(lines) + "\n"
 
 
-_VERBS = {
-    "edges": _verb_edges,
-    "lattice": _verb_lattice,
-    "zonotope": _verb_zonotope,
-    "facets": _verb_facets,
-    "venkov": _verb_venkov,
-    "dv-cell": _verb_dv_cell,
-    "certify": _verb_certify,
-    "export": _verb_export,
-    "corpus": _verb_corpus,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as err:
         sys.stderr.write(str(err) + "\n")
         return 1
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        code, text = _VERBS[args.verb](args)
+        code, text = args.run(args)
         _write_output(args.output, text)
         return code
     except (_UsageError, SchemaError) as err:

@@ -30,7 +30,6 @@ from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _as_rational,
                       lattice_contains, rank, same_lattice)
 from .zonotope import FacetDescriptor, Zonotope, facets
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -83,14 +82,11 @@ class QuadraticForm:
 
 
 def quadratic_form(ns: NormalSet) -> QuadraticForm:
-    """Weighted sum of rank one forms, one per hyperplane family."""
-    d = ns.dimension
-    acc = [[_ZERO] * d for _ in range(d)]
-    for v, w in zip(ns.normals, ns.weights):
-        for i in range(d):
-            for j in range(d):
-                acc[i][j] += w * v[i] * v[j]
-    return QuadraticForm(RatMatrix(acc))
+    """Weighted sum of rank one forms, one per hyperplane family:
+    Q = N^T (W N) with the normals as rows of N and diagonal weights W."""
+    n = RatMatrix.from_rows(ns.normals)
+    wn = RatMatrix.from_rows([v.scale(w) for v, w in zip(ns.normals, ns.weights)])
+    return QuadraticForm(n.transpose() @ wn)
 
 
 def zone_vectors(ns: NormalSet) -> tuple[RatVector, ...]:

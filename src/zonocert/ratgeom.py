@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateSpan, InternalFault, NotSquare, RankMismatch, Singular
@@ -67,7 +68,7 @@ class RatVector:
     def dot(self, other: "RatVector") -> Fraction:
         if self.dim != other.dim:
             raise ValueError("dot product of vectors of different dimension")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
+        return sum(map(mul, self.entries, other.entries), _ZERO)
 
     def __add__(self, other: "RatVector") -> "RatVector":
         return RatVector(a + b for a, b in zip(self.entries, other.entries))
@@ -187,15 +188,14 @@ class RatMatrix:
         if isinstance(other, RatVector):
             if self.cols != other.dim:
                 raise ValueError("matrix and vector dimensions differ")
-            return RatVector(self.row(i).dot(other) for i in range(self.rows))
+            return RatVector(sum(map(mul, row, other.entries), _ZERO)
+                             for row in self.entries)
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner matrix dimensions differ")
-            cols = other.cols
-            return RatMatrix([[sum((self.entries[i][k] * other.entries[k][j]
-                                    for k in range(self.cols)), _ZERO)
-                               for j in range(cols)]
-                              for i in range(self.rows)])
+            cols = other.columns()
+            return RatMatrix([[sum(map(mul, row, c.entries), _ZERO) for c in cols]
+                              for row in self.entries])
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":

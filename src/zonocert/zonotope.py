@@ -17,7 +17,7 @@ from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
 from .ratgeom import (RatMatrix, RatVector, _as_index, _cleared_rows, _pivot,
                       canonical_direction, independent_spans, kernel_basis,
-                      kernel_line, rank)
+                      kernel_line, rank, zero_vector)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -25,10 +25,6 @@ _HALF = Fraction(1, 2)
 PARALLELOGRAM = "parallelogram"
 HEXAGON = "hexagon"
 OTHER = "other"
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,9 @@ def facets(z: Zonotope) -> tuple[FacetDescriptor, ...]:
         products = [normal.dot(g) for g in gens]
         support = sum((abs(p) for p in products), _ZERO) * _HALF
         on_facet = tuple(i for i, p in enumerate(products) if p == 0)
-        center_coords = [_ZERO] * d
-        for g, p in zip(gens, products):
-            if p != 0:
-                s = _sign(p)
-                center_coords = [c + _HALF * s * e
-                                 for c, e in zip(center_coords, g.entries)]
-        out.append(FacetDescriptor(normal, support, on_facet,
-                                   RatVector(center_coords)))
+        center = sum((g.scale(_HALF if p > 0 else -_HALF)
+                      for g, p in zip(gens, products) if p), zero_vector(d))
+        out.append(FacetDescriptor(normal, support, on_facet, center))
     return tuple(out)
 
 

@@ -133,6 +133,73 @@ def test_overlong_rational_exits_one_with_location(run, tmp_path, weight):
     assert "Traceback" not in err
 
 
+MALFORMED_INPUTS = {
+    "not-utf8": b'\xff\xfe{"dim":1}',
+    "deep": b"[" * 200000 + b"]" * 200000,
+    "long-int": b'{"dim": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("verb", ["edges", "corpus"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_INPUTS))
+def test_unreadable_or_unparsable_input_exits_one(run, tmp_path, verb, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_INPUTS[kind])
+    code, out, err = run(verb, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zonocert: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_stdin_exits_one(run, monkeypatch):
+    raw = io.BytesIO(MALFORMED_INPUTS["not-utf8"])
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code, out, err = run("edges", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zonocert: cannot read -: ")
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (CUBE_DOC, ["edges"], "$: this verb needs a normal_set document"),
+    (HEX_DOC, ["certify", "-o", "{tmp}/absent/cert.json"], "cannot write"),
+    (HEX_DOC, ["export", "--format", "svg", "--patch-radius", "-1"],
+     "patch radius must be non-negative"),
+    (HEX_DOC, ["dv-cell", "--multiplier", "0"], "--multiplier must be positive"),
+])
+def test_invalid_invocation_exits_one(run, tmp_path, doc, argv, message):
+    src = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run(*[a.format(tmp=tmp_path) for a in argv], src)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zonocert: ")
+    assert message in err
+
+
+def test_help_names_every_verb(run):
+    code, out, _ = run("-h")
+    assert code == 0
+    for verb in ("edges", "lattice", "zonotope", "facets", "venkov", "dv-cell",
+                 "certify", "export", "corpus"):
+        assert verb in out
+
+
+def test_parser_is_reused_without_carrying_options(run, tmp_path):
+    src = write_doc(tmp_path, "hex.json", HEX_DOC)
+    code, out, _ = run("dv-cell", "--multiplier", "2", src)
+    assert code == 0
+    assert json.loads(out)["multiplier"] == "2"
+    code, out, _ = run("dv-cell", src)
+    assert code == 0
+    assert json.loads(out)["multiplier"] == "4"
+    code, _, _ = run("export", "--format", "svg", src)
+    assert code == 0
+    code, out, _ = run("edges", src)
+    assert code == 0
+    assert len(jsonio.parse_edge_set(json.loads(out)).edges) == 3
+
+
 def test_edges_verb_round_trip(run, tmp_path):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
     code, out, _ = run("edges", src)
@@ -258,10 +325,11 @@ def test_render_digits_env_var(run, tmp_path, monkeypatch):
 
 def test_render_digits_rejects_garbage(run, tmp_path, monkeypatch):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
-    monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", "many")
-    code, _, err = run("export", "--format", "svg", src)
-    assert code == 1
-    assert "ZONOCERT_RENDER_DIGITS" in err
+    for raw in ("many", "0"):
+        monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", raw)
+        code, _, err = run("export", "--format", "svg", src)
+        assert code == 1
+        assert "ZONOCERT_RENDER_DIGITS" in err
 
 
 def test_export_obj_cube(run, tmp_path):
@@ -356,6 +424,22 @@ def test_corpus_surprise_success_fails(run, tmp_path):
     code, out, _ = run("corpus", src)
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"name": "a", "normal_set": HEX_DOC}, {"name": "a", "normal_set": HEX_DOC}],
+     "$[1].name: duplicate entry name 'a'"),
+    ([{"normal_set": HEX_DOC}], "$[0].name: "),
+    ([{"name": "a", "normal_set": HEX_DOC, "expected": []}], "$[0].expected: "),
+    ([{"name": "a", "normal_set": {"dim": 2, "weights": ["1"]}}],
+     "$[0].normal_set.normals: missing field"),
+])
+def test_corpus_rejects_malformed_entries(run, tmp_path, entries, message):
+    src = write_doc(tmp_path, "corpus.json", entries)
+    code, out, err = run("corpus", src)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"zonocert: {message}")
 
 
 def test_console_script_runs():

@@ -22,8 +22,8 @@ from zonocert import (EdgeSet, FacetVectorSet, LatticeBasis, NormalSet,
 from zonocert.cli import bundled_corpus_path
 from zonocert.errors import (BasisCheckFailed, CertificationError,
                              DimensionMismatch, DimensionTooLarge,
-                             EnumerationInsufficient, Mismatch, NotADicing,
-                             NotPositiveDefinite)
+                             EnumerationInsufficient, InvalidNormalSet,
+                             Mismatch, NotADicing, NotPositiveDefinite)
 from zonocert.jsonio import parse_normal_set
 from zonocert.parallelohedron import _short_vectors
 
@@ -50,13 +50,17 @@ def test_form_with_diagonal_weights():
 
 
 def test_form_constructor_rejects_indefinite_matrices():
-    # each case names the first leading principal minor that is not positive
-    for rows, order in (([[1, 2], [2, 1]], 2), ([[0, 0], [0, 1]], 1),
-                        ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], 3)):
+    # an indefinite case names the first leading principal minor that is
+    # not positive
+    minor = "leading principal minor of order {} is not positive".format
+    for rows, message in (([[1, 2], [2, 1]], minor(2)),
+                          ([[0, 0], [0, 1]], minor(1)),
+                          ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], minor(3)),
+                          ([[1, 0, 0], [0, 1, 0]], "form matrix must be square"),
+                          ([[1, 2], [0, 1]], "form matrix must be symmetric")):
         with pytest.raises(NotPositiveDefinite) as info:
             QuadraticForm(mat(rows))
-        assert str(info.value) == \
-            f"leading principal minor of order {order} is not positive"
+        assert str(info.value) == message
 
 
 def test_zone_vectors_of_standard_grid():
@@ -313,6 +317,27 @@ def test_form_is_accepted_exactly_when_every_leading_minor_is_positive(rows):
             f"leading principal minor of order {first_bad} is not positive"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.lists(_rationals(-3, 3), min_size=d, max_size=d), max_size=4),
+    st.lists(_rationals(1, 5), min_size=d + 4, max_size=d + 4))))
+def test_form_is_the_weighted_sum_of_rank_one_forms(data):
+    # the unit normals span; extra normals parallel to another are skipped
+    d, extra, weights = data
+    rows = [[int(i == j) for j in range(d)] for i in range(d)] + extra
+    try:
+        ns = normal_set(rows, weights[:len(rows)])
+    except InvalidNormalSet:
+        assume(False)
+    expected = [[Fraction(0)] * d for _ in range(d)]
+    for v, w in zip(ns.normals, ns.weights):
+        for i in range(d):
+            for j in range(d):
+                expected[i][j] += w * v[i] * v[j]
+    assert quadratic_form(ns).matrix == RatMatrix(expected)
+
+
 # ---------------------------------------------------------------------------
 # facet vectors and the edge matching
 
@@ -406,6 +431,32 @@ def test_basis_of_rhombic_fixture():
     assert {fv.vectors[i] for i in indices} == {vec(1, 0, 0), vec(0, 1, 0),
                                                 vec(0, 0, 1)}
     assert determinant == 1
+
+
+# on the square normals e1, e2 the edges e2, e1 match facet vectors 1, 0
+SQUARE_EDGES = EdgeSet(2, [vec(0, 1), vec(1, 0)], [(0,), (1,)])
+SQUARE_BIJECTION = ((0, 1, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("es, vectors, bijection, lattice, message", [
+    (EdgeSet(2, [vec(1, 1)], [(0,)]), [(1, 1)], ((0, 0, 1),), [[1, 0], [0, 1]],
+     "no edge is dual to basis normal 0"),
+    (SQUARE_EDGES, [(2, 0), (0, 1)], SQUARE_BIJECTION, [[1, 0], [0, 1]],
+     "facet vector 0 pairs 2 with basis normal 0"),
+    (SQUARE_EDGES, [(1, 1), (1, 1)], SQUARE_BIJECTION, [[1, 0], [0, 1]],
+     "selected facet vectors are dependent: matrix is singular"),
+    (SQUARE_EDGES, [(1, 0), (0, 1), ("1/2", 0)], SQUARE_BIJECTION,
+     [[1, 0], [0, 1]], "facet vector 2 is fractional in the extracted basis"),
+    (SQUARE_EDGES, [(1, 0), (0, 1)], SQUARE_BIJECTION, [[2, 0], [0, 1]],
+     "extracted basis has determinant 1/2 in lattice coordinates"),
+])
+def test_basis_extraction_names_the_failed_check(es, vectors, bijection,
+                                                 lattice, message):
+    fv = FacetVectorSet(tuple(vec(*v) for v in vectors))
+    with pytest.raises(BasisCheckFailed) as info:
+        extract_basis(normal_set(SQUARE), es, fv, bijection,
+                      LatticeBasis(mat(lattice)))
+    assert str(info.value) == message
 
 
 def test_basis_of_checker_fixture_is_negatively_oriented():

@@ -52,6 +52,42 @@ def matrix_rows(rows, cols, elements=rationals):
 
 
 # ---------------------------------------------------------------------------
+# products
+
+
+def as_matrix(rows, cols):
+    return RatMatrix.from_rows([RatVector(r) for r in rows], cols=cols)
+
+
+# shapes include no rows (from_rows([], cols=k)) and a zero inner dimension
+@settings(max_examples=100)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+       .flatmap(lambda s: st.tuples(st.just(s), matrix_rows(s[0], s[1]),
+                                    matrix_rows(s[1], s[2]),
+                                    matrix_rows(2, s[1]))))
+def test_products_match_an_index_loop(data):
+    (m, k, n), a, b, (v, u) = data
+    zero = Fraction(0)
+    product = [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
+                for j in range(n)] for i in range(m)]
+    image = [sum((a[i][t] * v[t] for t in range(k)), zero) for i in range(m)]
+    assert (as_matrix(a, k) @ as_matrix(b, n)).entries == \
+        tuple(map(tuple, product))
+    assert (as_matrix(a, k) @ RatVector(v)).entries == tuple(image)
+    assert RatVector(v).dot(RatVector(u)) == \
+        sum((v[t] * u[t] for t in range(k)), zero)
+
+
+def test_products_refuse_mismatched_dimensions():
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) @ mat([[1, 2]])
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) @ vec(1)
+    with pytest.raises(ValueError):
+        vec(1, 2).dot(vec(1))
+
+
+# ---------------------------------------------------------------------------
 # rank
 
 

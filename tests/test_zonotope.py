@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonocert import (Zonotope, facets, hull_facet_planes,
@@ -104,6 +104,24 @@ def test_facet_supports_match_vertex_maxima(rows):
     verts = vertices_oracle(z)
     for f in facets(z):
         assert f.support == max(f.normal.dot(v) for v in verts)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=3)] * d),
+    min_size=d, max_size=5)))
+def test_facet_centers_are_signed_half_sums(rows):
+    try:
+        z = zono(rows)
+    except (InvalidZonotope, SpanDeficient):
+        assume(False)
+    for f in facets(z):
+        center = [Fraction(0)] * z.dimension
+        for g in z.generators:
+            p = f.normal.dot(g)
+            s = (p > 0) - (p < 0)
+            center = [c + s * e / 2 for c, e in zip(center, g.entries)]
+        assert f.center.entries == tuple(center)
 
 
 # ---------------------------------------------------------------------------
