@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or IO error (including schema violations),
 2 domain error; domain errors are written as JSON payloads so batch
 drivers can triage.  Rendering converts exact rationals to decimals only
-at emission, with ZONOCERT_RENDER_DIGITS significant digits (default 12).
+at emission, with ZONOCERT_RENDER_DIGITS significant digits (default 12,
+at most 1000).
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from .parallelohedron import (certify_second_voronoi, dv_cell_oracle,
                               quadratic_form, verify_certificate)
 from .ratgeom import RatMatrix, RatVector, det, kernel_basis, zero_vector
 from .zonotope import Zonotope, facets, venkov_check, vertices_oracle
+
+
+# Upper bounds on what one export may ask for: decimal digits per
+# coordinate, and lattice translates in a patch.
+_MAX_RENDER_DIGITS = 1000
+_MAX_PATCH_TRANSLATES = 10 ** 4
 
 
 class _UsageError(Exception):
@@ -71,7 +78,8 @@ def _build_parser() -> _Parser:
     p = add("export", "render a DV cell to SVG (d=2) or OBJ (d=3)", _verb_export)
     p.add_argument("--format", required=True, choices=("svg", "obj"))
     p.add_argument("--patch-radius", type=int, default=0,
-                   help="draw lattice translates with coordinates in [-r, r]")
+                   help="draw lattice translates with coordinates in [-r, r], "
+                        "at most 10000 of them")
     p = sub.add_parser("corpus", help="certify every entry of a corpus file")
     p.set_defaults(run=_verb_corpus)
     p.add_argument("input", nargs="?", default=None,
@@ -140,6 +148,9 @@ def _render_digits() -> int:
         raise _UsageError(f"ZONOCERT_RENDER_DIGITS must be an integer, got {raw!r}")
     if digits < 1:
         raise _UsageError("ZONOCERT_RENDER_DIGITS must be positive")
+    if digits > _MAX_RENDER_DIGITS:
+        raise _UsageError(
+            f"ZONOCERT_RENDER_DIGITS must be at most {_MAX_RENDER_DIGITS}")
     return digits
 
 
@@ -192,6 +203,13 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
         raise _UsageError("patch radius must be non-negative")
     if ns is None and patch_radius > 0:
         raise _UsageError("a lattice patch needs a normal_set input")
+    if (2 * patch_radius + 1) ** dim > _MAX_PATCH_TRANSLATES:
+        largest = 0
+        while (2 * largest + 3) ** dim <= _MAX_PATCH_TRANSLATES:
+            largest += 1
+        raise _UsageError(
+            f"patch radius must be at most {largest} in {dim} dimensions "
+            f"(at most {_MAX_PATCH_TRANSLATES} translates)")
     if patch_radius == 0:
         return [zero_vector(dim)]
     basis = lattice_of_dicing(ns).basis

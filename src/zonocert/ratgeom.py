@@ -2,6 +2,11 @@
 
 Vectors and matrices store ``fractions.Fraction`` entries, so every rank,
 determinant, kernel, and Hermite form below is computed without rounding.
+Each vector, and each matrix row, clears its denominators once and caches
+the result: one common denominator with a tuple of integer numerators.  A
+dot product or a matrix-vector product is then one integer sum and one
+``Fraction`` per entry, and rank, determinant and kernels of one matrix
+start from the same cleared rows.
 Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
 rows; kernels are read off its integer rows as integer vectors, with no
@@ -9,8 +14,10 @@ rational echelon form in between.  The same pivot step, ``_pivot``, also
 drives the integer simplex tableau of the hull oracle in ``zonotope`` and
 the integer Schur complements behind the positive definiteness check of
 quadratic forms and the short-vector enumeration of the cell oracle in
-``parallelohedron``.  Only the Hermite form has its own integer column
-reduction.
+``parallelohedron``.  When the previous pivot is +-1, as on every pivot
+of a totally unimodular system, the step divides by multiplying and needs
+no exactness check; any other previous pivot keeps the checked exact
+division.  Only the Hermite form has its own integer column reduction.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -37,6 +45,18 @@ def _as_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _clear(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The lcm s of the denominators and the integer numerators s * entries."""
+    s = math.lcm(*(e.denominator for e in entries))
+    return s, tuple(e.numerator * (s // e.denominator) for e in entries)
+
+
+def _cleared_dot(a: tuple[int, tuple[int, ...]],
+                 b: tuple[int, tuple[int, ...]]) -> Fraction:
+    """Inner product of two cleared forms: one integer sum, one Fraction."""
+    return Fraction(sum(map(mul, a[1], b[1])), a[0] * b[0])
 
 
 def _as_index(x) -> int:
@@ -65,10 +85,15 @@ class RatVector:
     def dim(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _integers(self) -> tuple[int, tuple[int, ...]]:
+        """Common denominator and integer numerators, cleared once."""
+        return _clear(self.entries)
+
     def dot(self, other: "RatVector") -> Fraction:
         if self.dim != other.dim:
             raise ValueError("dot product of vectors of different dimension")
-        return sum(map(mul, self.entries, other.entries), _ZERO)
+        return _cleared_dot(self._integers, other._integers)
 
     def __add__(self, other: "RatVector") -> "RatVector":
         return RatVector(a + b for a, b in zip(self.entries, other.entries))
@@ -106,8 +131,7 @@ def unit_vector(dim: int, i: int) -> RatVector:
 
 def canonical_direction(v: RatVector) -> RatVector:
     """Scale a nonzero vector to integer entries, content 1, first nonzero positive."""
-    (ints,), _ = _cleared_rows([v.entries])
-    return _primitive(ints)
+    return _primitive(v._integers[1])
 
 
 def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
@@ -171,6 +195,11 @@ class RatMatrix:
             return getattr(self, "_empty_cols", 0)
         return len(self.entries[0])
 
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each row's common denominator and integer numerators, cleared once."""
+        return tuple(map(_clear, self.entries))
+
     def row(self, i: int) -> RatVector:
         return RatVector(self.entries[i])
 
@@ -188,14 +217,14 @@ class RatMatrix:
         if isinstance(other, RatVector):
             if self.cols != other.dim:
                 raise ValueError("matrix and vector dimensions differ")
-            return RatVector(sum(map(mul, row, other.entries), _ZERO)
-                             for row in self.entries)
+            v = other._integers
+            return RatVector(_cleared_dot(row, v) for row in self._integer_rows)
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner matrix dimensions differ")
-            cols = other.columns()
-            return RatMatrix([[sum(map(mul, row, c.entries), _ZERO) for c in cols]
-                              for row in self.entries])
+            cols = [_clear(c.entries) for c in other.columns()]
+            return RatMatrix([[_cleared_dot(row, c) for c in cols]
+                              for row in self._integer_rows])
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
@@ -211,13 +240,14 @@ def _cleared_rows(rows: Iterable[Sequence[Fraction]]
                   ) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns integer rows and the product
     of the scaling factors (for determinant correction)."""
-    out = []
-    factor = 1
-    for row in rows:
-        den = math.lcm(*(e.denominator for e in row)) if row else 1
-        out.append([e.numerator * (den // e.denominator) for e in row])
-        factor *= den
-    return out, factor
+    return _mutable_rows([_clear(row) for row in rows])
+
+
+def _mutable_rows(cleared: Sequence[tuple[int, Sequence[int]]]
+                  ) -> tuple[list[list[int]], int]:
+    """Fresh integer row lists from cleared forms, and the product of
+    their denominators."""
+    return [list(ints) for _, ints in cleared], math.prod(s for s, _ in cleared)
 
 
 def _common_cleared(rows: Sequence[Sequence[Fraction]]
@@ -242,14 +272,31 @@ def _pivot(a: list[list[int]], r: int, c: int, prev: int,
            starts: Sequence[int] = ()) -> None:
     """Fraction-free pivot on a[r][c], in place: every other row i becomes
     (row * a[r][c] - row[c] * a[r]) / prev from column starts[i] (or 0)
-    on.  With prev the previous pivot the division is exact (Bareiss)."""
+    on.  With prev the previous pivot the division is exact (Bareiss).
+
+    A unit prev (+-1), as on every pivot of a totally unimodular system,
+    divides by multiplying: no remainder check and no floor division, and
+    a row with row[c] == 0 is left alone when a[r][c] == prev."""
     top = a[r]
     piv = top[c]
+    unit = prev == 1 or prev == -1
     for i, row in enumerate(a):
         if i == r:
             continue
         lo = starts[i] if starts else 0
         f = row[c]
+        if unit:
+            if piv == prev:
+                if f:
+                    g = f * prev
+                    row[lo:] = [x - g * t for x, t in zip(row[lo:], top[lo:])]
+            elif f:
+                row[lo:] = [(x * piv - f * t) * prev
+                            for x, t in zip(row[lo:], top[lo:])]
+            else:
+                g = piv * prev
+                row[lo:] = [x * g for x in row[lo:]]
+            continue
         new = [x * piv - f * t for x, t in zip(row[lo:], top[lo:])]
         if any(x % prev for x in new):
             raise InternalFault("fraction-free elimination not exact")
@@ -298,7 +345,7 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    a, _ = _cleared_rows(m.entries)
+    a, _ = _mutable_rows(m._integer_rows)
     return _bareiss(a)[0]
 
 
@@ -306,7 +353,7 @@ def det(m: RatMatrix) -> Fraction:
     """Exact determinant; raises NotSquare for rectangular input."""
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
-    a, factor = _cleared_rows(m.entries)
+    a, factor = _mutable_rows(m._integer_rows)
     return Fraction(_bareiss_det(a), factor)
 
 
@@ -318,7 +365,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     if not m.entries:
         return RatMatrix.from_rows([], cols=m.cols), ()
-    a, _ = _cleared_rows(m.entries)
+    a, _ = _mutable_rows(m._integer_rows)
     _, _, p, pivots = _bareiss(a)
     return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
 
@@ -327,7 +374,7 @@ def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
     """The last pivot p of the cleared rows of m and one integer kernel
     vector per free column: p there, minus that column of the eliminated
     rows at the pivot columns, 0 at the other free columns."""
-    a, _ = _cleared_rows(m.entries)
+    a, _ = _mutable_rows(m._integer_rows)
     _, _, p, pivots = _bareiss(a)
     out = []
     for free in range(m.cols):
@@ -466,8 +513,9 @@ def _column_hnf(cols: list[list[int]], dim: int) -> list[list[int]]:
     return fixed
 
 
-def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
-    """Canonical basis of the lattice generated by rational vectors.
+def _hnf_matrix(generators: Sequence[RatVector]) -> RatMatrix:
+    """Canonical basis matrix (basis vectors as columns) of the lattice
+    generated by rational vectors.
 
     All generators are scaled by one common denominator, reduced to integer
     Hermite normal form, and scaled back, so the result is deterministic.
@@ -483,9 +531,14 @@ def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
     if len(fixed) < dim:
         raise DegenerateSpan(
             f"generators span a rank {len(fixed)} sublattice of rank {dim} space")
-    matrix = RatMatrix([[Fraction(fixed[j][i], den) for j in range(dim)]
-                        for i in range(dim)])
-    return LatticeBasis(matrix)
+    return RatMatrix([[Fraction(fixed[j][i], den) for j in range(dim)]
+                      for i in range(dim)])
+
+
+def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
+    """Canonical basis of the lattice generated by rational vectors (see
+    ``_hnf_matrix``); raises DegenerateSpan when they do not span."""
+    return LatticeBasis(_hnf_matrix(generators))
 
 
 def dual_lattice_basis(b: LatticeBasis) -> LatticeBasis:
@@ -504,7 +557,6 @@ def lattice_contains(b: LatticeBasis, v: RatVector) -> bool:
 
 
 def same_lattice(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Lattice equality through canonical Hermite forms."""
-    ha = hnf_lattice_basis(a.vectors)
-    hb = hnf_lattice_basis(b.vectors)
-    return ha.basis.entries == hb.basis.entries
+    """Lattice equality through canonical Hermite forms; no basis built
+    from them is inverted."""
+    return _hnf_matrix(a.vectors).entries == _hnf_matrix(b.vectors).entries

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from zonocert import jsonio
+from zonocert import cli, jsonio
 from zonocert.cli import bundled_corpus_path, main
 
 HEX_DOC = {
@@ -32,6 +32,13 @@ CUBE_DOC = {
     "schema": "v1",
     "dim": 3,
     "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+RHOMBIC_DOC = {
+    "schema": "v1",
+    "dim": 3,
+    "normals": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                ["1", "1", "1"]],
+    "weights": ["1", "1", "1", "1"],
 }
 COUNTEREXAMPLE_DOC = {
     "schema": "v1",
@@ -330,6 +337,44 @@ def test_render_digits_rejects_garbage(run, tmp_path, monkeypatch):
         code, _, err = run("export", "--format", "svg", src)
         assert code == 1
         assert "ZONOCERT_RENDER_DIGITS" in err
+
+
+def test_render_digits_refuses_a_huge_precision_at_once(run, tmp_path,
+                                                       monkeypatch):
+    src = write_doc(tmp_path, "hex.json", HEX_DOC)
+
+    def render(x, digits):
+        raise AssertionError("rendered a coordinate at a refused precision")
+
+    monkeypatch.setattr(cli, "_decimal_str", render)
+    monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", str(10 ** 9))
+    code, out, err = run("export", "--format", "svg", src)
+    assert code == 1
+    assert out == ""
+    assert err == "zonocert: ZONOCERT_RENDER_DIGITS must be at most 1000\n"
+
+
+@pytest.mark.parametrize("doc, fmt, largest", [
+    (HEX_DOC, "svg", 49),
+    (RHOMBIC_DOC, "obj", 10),
+])
+def test_patch_radius_refuses_a_huge_patch_at_once(run, tmp_path, monkeypatch,
+                                                   doc, fmt, largest):
+    src = write_doc(tmp_path, "doc.json", doc)
+
+    def lattice(ns):
+        raise AssertionError("built a lattice for a refused patch")
+
+    monkeypatch.setattr(cli, "lattice_of_dicing", lattice)
+    code, out, err = run("export", "--format", fmt,
+                         "--patch-radius", str(10 ** 9), src)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"zonocert: patch radius must be at most {largest} ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = run("export", "--format", fmt,
+                       "--patch-radius", str(largest + 1), src)
+    assert code == 1 and "patch radius must be at most" in err
 
 
 def test_export_obj_cube(run, tmp_path):

@@ -1,7 +1,10 @@
 """Exact linear algebra: frozen hand-computed values plus algebraic laws."""
 
+import contextlib
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +16,7 @@ from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
                       lattice_coordinates, rank, rref, same_lattice)
 from zonocert.errors import (DegenerateSpan, InternalFault, NotSquare,
                              RankMismatch, Singular)
+from zonocert import ratgeom
 from zonocert.ratgeom import (_bareiss_det, _cleared_rows, _pivot,
                               first_parallel_pair, independent_spans)
 
@@ -76,6 +80,34 @@ def test_products_match_an_index_loop(data):
     assert (as_matrix(a, k) @ RatVector(v)).entries == tuple(image)
     assert RatVector(v).dot(RatVector(u)) == \
         sum((v[t] * u[t] for t in range(k)), zero)
+
+
+wide_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=60)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 5).flatmap(
+    lambda k: st.tuples(matrix_rows(2, k, wide_rationals),
+                        matrix_rows(1, k, wide_rationals))))
+def test_cleared_products_equal_a_fraction_sum(data):
+    rows, (v,) = data
+    vector = RatVector(v)
+    expected = [sum(map(mul, row, v), Fraction(0)) for row in rows]
+    assert [RatVector(row).dot(vector) for row in rows] == expected
+    assert (as_matrix(rows, len(v)) @ vector).entries == tuple(expected)
+
+
+def test_cached_integer_form_leaves_equality_and_hash_alone():
+    u, v = vec("1/2", "-2/3", 3), vec("1/2", "-2/3", 3)
+    before = hash(u)
+    assert v.dot(v) == Fraction(1, 4) + Fraction(4, 9) + 9
+    assert "_integers" in vars(v) and "_integers" not in vars(u)
+    assert v._integers == (6, (3, -4, 18))
+    assert u == v and hash(u) == hash(v) == before and repr(u) == repr(v)
+    m, n = mat([[1, "1/2", 0]]), mat([[1, "1/2", 0]])
+    assert m @ v == vec("1/6")
+    assert "_integer_rows" in vars(m) and "_integer_rows" not in vars(n)
+    assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
 
 
 def test_products_refuse_mismatched_dimensions():
@@ -282,6 +314,168 @@ def test_det_matches_cofactor_expansion(rows):
     assert _bareiss_det(ints) == naive_det(ints) == det(mat(rows)) * factor
 
 
+# ---------------------------------------------------------------------------
+# kernels on unit and wider pivots
+
+
+def fraction_echelon(rows):
+    """Reduced echelon form and pivot columns by plain Fraction
+    Gauss-Jordan elimination, independent of the fraction-free routine."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * t for x, t in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def primitive(v):
+    """Integer multiple of a nonzero vector with content 1, first nonzero
+    entry positive."""
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // g for x in ints)
+
+
+@contextlib.contextmanager
+def previous_pivots():
+    """Record the previous pivot of every ``_pivot`` call inside."""
+    seen = []
+    original = ratgeom._pivot
+
+    def spy(a, r, c, prev, starts=()):
+        seen.append(prev)
+        return original(a, r, c, prev, starts)
+
+    ratgeom._pivot = spy
+    try:
+        yield seen
+    finally:
+        ratgeom._pivot = original
+
+
+def check_kernels(rows):
+    """_bareiss_det, rank and kernel_line of square integer rows against
+    cofactor expansion and plain Fraction elimination; returns every
+    previous pivot the fraction-free routines used."""
+    with previous_pivots() as prevs:
+        assert _bareiss_det(rows) == naive_det(rows)
+        assert rank(mat(rows)) == len(fraction_echelon(rows)[1])
+        head = rows[:-1]
+        echelon, pivots = fraction_echelon(head)
+        if len(pivots) == len(head):
+            (free,) = set(range(len(rows))) - set(pivots)
+            line = [Fraction(0)] * len(rows)
+            line[free] = Fraction(1)
+            for k, c in enumerate(pivots):
+                line[c] = -echelon[k][free]
+            assert kernel_line(mat(head)).entries == primitive(line)
+        else:
+            with pytest.raises(RankMismatch):
+                kernel_line(mat(head))
+    return prevs
+
+
+def tu_rows(n):
+    """n x n rows with at most one +1 and one -1 each, times a sign: the
+    transpose of a network matrix, so totally unimodular."""
+    index = st.one_of(st.none(), st.integers(0, n - 1))
+
+    def row(spec):
+        i, j, sign = spec
+        r = [0] * n
+        if j is not None:
+            r[j] = -sign
+        if i is not None:
+            r[i] = sign
+        return r
+
+    return st.lists(st.tuples(index, index, st.sampled_from([1, -1])).map(row),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 5).flatmap(tu_rows))
+def test_unit_pivots_of_totally_unimodular_rows(rows):
+    prevs = check_kernels(rows)
+    assert set(prevs) <= {1, -1}
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 5).flatmap(
+    lambda n: matrix_rows(n, n, st.integers(-4, 4))))
+def test_kernels_on_wide_integer_rows(rows):
+    check_kernels(rows)
+
+
+@settings(max_examples=80)
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.tuples(st.sampled_from([1, -1]),
+                        matrix_rows(n, n, st.integers(-5, 5)))))
+def test_kernels_switch_from_unit_to_wider_pivots(data):
+    first, rows = data
+    rows[0][0] = first
+    check_kernels(rows)
+
+
+def test_a_unit_pivot_then_a_wider_one():
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    assert check_kernels(rows)[:3] == [1, 1, -3]
+
+
+def pivot_by_formula(a, r, c, prev, starts=()):
+    """(row * a[r][c] - row[c] * a[r]) / prev on every other row, from
+    column starts[i] on, with the division checked to be exact."""
+    out = []
+    for i, row in enumerate(a):
+        lo = starts[i] if starts else 0
+        if i == r:
+            out.append(row[:])
+            continue
+        new = [Fraction(x * a[r][c] - row[c] * t, prev)
+               for x, t in zip(row[lo:], a[r][lo:])]
+        assert all(x.denominator == 1 for x in new)
+        out.append(row[:lo] + [int(x) for x in new])
+    return out
+
+
+def test_pivot_with_previous_pivot_minus_one():
+    # pivot equal to prev: f != 0 subtracts, f == 0 leaves the row alone
+    a = [[-1, 2, 0], [3, 4, 1], [0, 5, 2]]
+    expected = pivot_by_formula(a, 0, 0, -1)
+    _pivot(a, 0, 0, -1)
+    assert a == expected == [[-1, 2, 0], [0, 10, 1], [0, 5, 2]]
+    # pivot unlike prev: f != 0 updates, f == 0 scales by pivot * prev
+    b = [[2, 1], [3, 1], [0, 4]]
+    expected = pivot_by_formula(b, 0, 0, -1)
+    _pivot(b, 0, 0, -1)
+    assert b == expected == [[2, 1], [0, 1], [0, -8]]
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(matrix_rows(n, n + 1, st.integers(-6, 6)),
+                        st.integers(0, n - 1), st.integers(0, n),
+                        st.sampled_from([1, -1]),
+                        st.lists(st.integers(0, n), min_size=n, max_size=n))))
+def test_unit_previous_pivot_matches_the_formula(data):
+    rows, r, c, prev, starts = data
+    assume(rows[r][c] != 0)
+    expected = pivot_by_formula(rows, r, c, prev, starts)
+    _pivot(rows, r, c, prev, starts)
+    assert rows == expected
+
+
 def test_inverse_identity():
     assert inverse(RatMatrix.identity(3)) == RatMatrix.identity(3)
 
@@ -412,6 +606,19 @@ def test_hnf_idempotent(rows):
     again = hnf_lattice_basis(once.vectors)
     assert once.basis == again.basis
     assert same_lattice(once, again)
+
+
+def test_same_lattice_inverts_no_basis(monkeypatch):
+    checker = hnf_lattice_basis([vec(1, 1), vec(1, -1)])
+    skew = LatticeBasis(mat([[2, 1], [0, 1]]))
+    unit = LatticeBasis(RatMatrix.identity(2))
+
+    def refuse(m):
+        raise AssertionError("same_lattice inverted a basis")
+
+    monkeypatch.setattr(ratgeom, "inverse", refuse)
+    assert same_lattice(checker, skew)
+    assert not same_lattice(checker, unit)
 
 
 def test_lattice_membership_and_coordinates():
