@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
-from .ratgeom import (RatMatrix, RatVector, _as_index, _as_rational, _bareiss,
+from .ratgeom import (RatMatrix, RatVector, _as_index, _as_rational,
                       _bareiss_det, _cleared_rows, first_parallel_pair,
                       independent_spans, inverse, kernel_line, rank,
                       unit_vector)
@@ -135,8 +135,7 @@ class DicingRep:
 def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
     """Indices of the first d independent normals: the pivot columns of
     the matrix whose columns are the normals."""
-    a, _ = _cleared_rows(RatMatrix.from_columns(ns.normals).entries)
-    pivots = _bareiss(a)[3]
+    pivots = RatMatrix.from_columns(ns.normals)._echelon[2]
     if len(pivots) != ns.dimension:
         raise InvalidNormalSet("normals do not span the space")
     return pivots
@@ -165,11 +164,14 @@ def is_totally_unimodular(m: RatMatrix) -> bool:
     ints, factor = _cleared_rows(m.entries)
     if factor != 1:
         raise NonIntegerEntries("total unimodularity needs integer entries")
+    columns = list(zip(*ints))
     for k in range(1, min(m.rows, m.cols) + 1):
         for rows_sub in itertools.combinations(range(m.rows), k):
-            for cols_sub in itertools.combinations(range(m.cols), k):
-                minor = [[ints[i][j] for j in cols_sub] for i in rows_sub]
-                if abs(_bareiss_det(minor)) > 1:
+            # each column cut to the row subset; a minor is k of these,
+            # its transpose, with the same |det|
+            cut = [tuple(col[i] for i in rows_sub) for col in columns]
+            for cols_sub in itertools.combinations(cut, k):
+                if abs(_bareiss_det(cols_sub)) > 1:
                     return False
     return True
 

@@ -5,12 +5,15 @@ determinant, kernel, and Hermite form below is computed without rounding.
 Each vector, and each matrix row, clears its denominators once and caches
 the result: one common denominator with a tuple of integer numerators.  A
 dot product or a matrix-vector product is then one integer sum and one
-``Fraction`` per entry, and rank, determinant and kernels of one matrix
-start from the same cleared rows.
+``Fraction`` per entry.
 Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
-rows; kernels are read off its integer rows as integer vectors, with no
-rational echelon form in between.  The same pivot step, ``_pivot``, also
+rows.  Each matrix runs it once for rank, reduced echelon form and
+kernels together and caches the eliminated rows; kernels are read off
+them as integer vectors, with no rational echelon form in between.  The
+span enumerator scans the primitive integer directions of its vectors,
+not the vectors themselves, so each subset costs one elimination on
+small integer rows.  The same pivot step, ``_pivot``, also
 drives the integer simplex tableau of the hull oracle in ``zonotope`` and
 the integer Schur complements behind the positive definiteness check of
 quadratic forms and the short-vector enumeration of the cell oracle in
@@ -174,6 +177,17 @@ class RatMatrix:
         return cls(v.entries for v in vectors)
 
     @classmethod
+    def _stacked(cls, vectors: Sequence[RatVector], cols: int) -> "RatMatrix":
+        """The matrix with the given rows, sharing each vector's entries and
+        cached integer form: no coercion and no clearing per entry."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "entries", tuple(v.entries for v in vectors))
+        if not vectors:
+            object.__setattr__(m, "_empty_cols", cols)
+        vars(m)["_integer_rows"] = tuple(v._integers for v in vectors)
+        return m
+
+    @classmethod
     def from_columns(cls, vectors: Sequence[RatVector]) -> "RatMatrix":
         if not vectors:
             raise ValueError("no columns")
@@ -199,6 +213,15 @@ class RatMatrix:
     def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Each row's common denominator and integer numerators, cleared once."""
         return tuple(map(_clear, self.entries))
+
+    @cached_property
+    def _echelon(self) -> tuple[list[list[int]], int, tuple[int, ...]]:
+        """The cleared rows after one Bareiss elimination, their last pivot
+        p and the pivot columns; rank, rref and kernels all read it, and
+        none of them mutates the rows."""
+        a, _ = _mutable_rows(self._integer_rows)
+        _, _, p, pivots = _bareiss(a)
+        return a, p, pivots
 
     def row(self, i: int) -> RatVector:
         return RatVector(self.entries[i])
@@ -259,13 +282,17 @@ def _common_cleared(rows: Sequence[Sequence[Fraction]]
 
 
 def _primitive(ints: Sequence[int]) -> RatVector:
-    """Divide a nonzero integer vector by its content, first nonzero positive."""
+    """Divide a nonzero integer vector by its content, first nonzero
+    positive; the result carries its integer form already cached."""
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("cannot canonicalize the zero vector")
     if next(x for x in ints if x) < 0:
         g = -g
-    return RatVector(x // g for x in ints)
+    reduced = tuple(x // g for x in ints)
+    v = RatVector(reduced)
+    vars(v)["_integers"] = (1, reduced)
+    return v
 
 
 def _pivot(a: list[list[int]], r: int, c: int, prev: int,
@@ -338,15 +365,15 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    r, sign, last, _ = _bareiss([row[:] for row in a])
+    """Determinant of a square integer matrix (a sequence of integer
+    sequences, left untouched), fraction-free."""
+    r, sign, last, _ = _bareiss([list(row) for row in a])
     return sign * last if r == len(a) else 0
 
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    a, _ = _mutable_rows(m._integer_rows)
-    return _bareiss(a)[0]
+    return len(m._echelon[2])
 
 
 def det(m: RatMatrix) -> Fraction:
@@ -365,8 +392,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     if not m.entries:
         return RatMatrix.from_rows([], cols=m.cols), ()
-    a, _ = _mutable_rows(m._integer_rows)
-    _, _, p, pivots = _bareiss(a)
+    a, p, pivots = m._echelon
     return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
 
 
@@ -374,8 +400,7 @@ def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
     """The last pivot p of the cleared rows of m and one integer kernel
     vector per free column: p there, minus that column of the eliminated
     rows at the pivot columns, 0 at the other free columns."""
-    a, _ = _mutable_rows(m._integer_rows)
-    _, _, p, pivots = _bareiss(a)
+    a, p, pivots = m._echelon
     out = []
     for free in range(m.cols):
         if free in pivots:
@@ -412,15 +437,21 @@ def independent_spans(vectors: Sequence[RatVector], k: int,
                       ) -> Iterator[tuple[tuple[int, ...], Hashable]]:
     """Yield (subset, kernel(m)) once per rank-k span of k of the vectors.
 
-    Index subsets are scanned in lexicographic order and m holds the rows
-    they pick; each span is reported with the first subset spanning it.
-    ``kernel`` must give equal values exactly on equal row spaces, as
-    ``kernel_line`` and ``kernel_basis`` do; that value deduplicates.
+    Index subsets are scanned in lexicographic order; each span is
+    reported with the first subset spanning it.  The scan runs on
+    directions: each nonzero vector is scaled to its canonical direction
+    (integer, content 1) and a zero vector is kept, so m, which ``rank``
+    and ``kernel`` receive, holds the directions of the rows the subset
+    picks, as small integers.  Rescaling a row changes no row space, so no
+    rank, subset or key either.  ``kernel`` must give equal values exactly
+    on equal row spaces, as ``kernel_line`` and ``kernel_basis`` do; that
+    value deduplicates.  ``rank`` and ``kernel`` share one elimination of m.
     """
     dim = vectors[0].dim
+    rows = [v if v.is_zero() else canonical_direction(v) for v in vectors]
     seen = set()
-    for subset in itertools.combinations(range(len(vectors)), k):
-        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=dim)
+    for subset in itertools.combinations(range(len(rows)), k):
+        m = RatMatrix._stacked([rows[i] for i in subset], dim)
         if rank(m) != k:
             continue
         key = kernel(m)

@@ -13,11 +13,17 @@ from zonocert import (EdgeSet, NormalSet, RatMatrix, apply_affine,
                       det, first_basis_indices, hnf_lattice_basis, inverse,
                       is_totally_unimodular, lattice_of_dicing, rank,
                       same_lattice, unimodular_representation)
+from zonocert import ratgeom
 from zonocert.errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                              RepresentationCheckFailed, Singular)
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
+
+# the cographic dicing of K3,3: 9 normals in dimension 4, 15 edge lines
+COGRAPHIC_K33 = [(1, 1, 1, 1), (-1, 0, -1, 0), (0, -1, 0, -1), (-1, -1, 0, 0),
+                 (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, -1), (0, 0, 1, 0),
+                 (0, 0, 0, 1)]
 
 DICING_FIXTURES = [SQUARE, HEXAGONAL, CHECKER, [(2, 1), (1, 2)], CUBIC,
                    RHOMBIC, FIVE_FAMILY, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]
@@ -117,6 +123,23 @@ def test_edge_set_shared_kernel_lines_deduplicate():
     es = compute_edge_set(normal_set(FIVE_FAMILY))
     assert len(es.edges) == 6
     assert len({e.entries for e in es.edges}) == 6
+
+
+def test_edge_set_eliminates_each_subset_once(monkeypatch):
+    ns = normal_set(COGRAPHIC_K33)
+    real = ratgeom._bareiss
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(ratgeom, "_bareiss", counted)
+    es = compute_edge_set(ns)
+    assert len(es.edges) == 15
+    # C(9, 3) subsets; the kernel lines of the 78 of rank 3 reuse the
+    # elimination their rank came from
+    assert calls == [3] * 84
 
 
 @pytest.mark.parametrize("rows", DICING_FIXTURES)

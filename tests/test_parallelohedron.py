@@ -17,8 +17,8 @@ from zonocert import (EdgeSet, FacetVectorSet, LatticeBasis, NormalSet,
                       det, dv_cell_oracle, dv_zonotope, extract_basis,
                       facet_vectors, facets, hnf_lattice_basis, inverse,
                       lattice_contains, lattice_of_dicing, quadratic_form,
-                      vertices_oracle, venkov_check, verify_certificate,
-                      zone_vectors)
+                      ridge_classification, vertices_oracle, venkov_check,
+                      verify_certificate, zone_vectors)
 from zonocert.cli import bundled_corpus_path
 from zonocert.errors import (BasisCheckFailed, CertificationError,
                              DimensionMismatch, DimensionTooLarge,
@@ -543,6 +543,80 @@ def test_certification_fails_on_non_dicing_at_the_edge_stage():
         certify_second_voronoi(normal_set(NON_DICING))
     assert info.value.stage == "edge-set"
     assert isinstance(info.value.cause, NotADicing)
+
+
+def _connected(vertices, edges) -> bool:
+    """Whether a nonempty vertex set induces a connected subgraph."""
+    start = min(vertices)
+    reached, todo = {start}, [start]
+    while todo:
+        u = todo.pop()
+        for a, b in edges:
+            v = b if a == u else a if b == u else None
+            if v in vertices and v not in reached:
+                reached.add(v)
+                todo.append(v)
+    return reached == set(vertices)
+
+
+def _connected_partitions(n, edges, blocks) -> int:
+    """Partitions of the vertices 0..n-1 into the given number of blocks,
+    each inducing a connected subgraph, by brute force over labelings."""
+    found = set()
+    for labels in itertools.product(range(blocks), repeat=n):
+        parts = [frozenset(v for v in range(n) if labels[v] == b)
+                 for b in range(blocks)]
+        if all(parts) and all(_connected(p, edges) for p in parts):
+            found.add(frozenset(parts))
+    return len(found)
+
+
+@st.composite
+def graphic_dicings(draw):
+    """A random connected simple graph on at most 6 vertices (a random
+    spanning tree plus extra edges), with positive weights per edge."""
+    n = draw(st.integers(2, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    edges = sorted(tree + extra)
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                            max_size=len(edges)))
+    return n, edges, weights
+
+
+def graphic_normals(n, edges):
+    """Normals e_i - e_j per graph edge, with vertex 0 at the origin."""
+    def unit(v):
+        return [int(v > 0 and k == v - 1) for k in range(n - 1)]
+    return [[a - b for a, b in zip(unit(i), unit(j))] for i, j in edges]
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphic_dicings())
+def test_graphic_dicing_counts_match_the_graph(data):
+    # In the graphic matroid a rank n-1-r flat is a partition of the
+    # vertices into r+1 connected blocks: facets and edges are bonds,
+    # ridge flats are partitions into 3 connected blocks.
+    n, edges, weights = data
+    cert = certify_second_voronoi(normal_set(graphic_normals(n, edges), weights))
+    assert verify_certificate(cert).ok
+    bonds = _connected_partitions(n, edges, 2)
+    assert len(cert.edge_set.edges) == len(cert.facet_vectors.vectors) == bonds
+    if n >= 3:
+        assert len(ridge_classification(cert.zonotope)) == \
+            _connected_partitions(n, edges, 3)
+
+
+def test_graphic_count_oracle_on_small_graphs():
+    # K4: 7 bonds, 6 partitions into 3 blocks; the 4-cycle: 6 bonds
+    k4 = list(itertools.combinations(range(4), 2))
+    assert _connected_partitions(4, k4, 2) == 7
+    assert _connected_partitions(4, k4, 3) == 6
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert _connected_partitions(4, cycle, 2) == 6
+    cert = certify_second_voronoi(normal_set(graphic_normals(4, k4)))
+    assert len(cert.edge_set.edges) == 7
 
 
 @pytest.mark.parametrize("rows", [SQUARE, HEXAGONAL, CHECKER, CUBIC, RHOMBIC,

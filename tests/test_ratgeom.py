@@ -108,6 +108,14 @@ def test_cached_integer_form_leaves_equality_and_hash_alone():
     assert m @ v == vec("1/6")
     assert "_integer_rows" in vars(m) and "_integer_rows" not in vars(n)
     assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
+    assert rank(m) == 1
+    assert "_echelon" in vars(m) and "_echelon" not in vars(n)
+    assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
+    # every reader of the one elimination leaves it as it was
+    cached = [row[:] for row in m._echelon[0]]
+    assert kernel_basis(m) == kernel_basis(n)
+    assert rref(m) == rref(n) and rank(m) == rank(n)
+    assert m._echelon[0] == cached
 
 
 def test_products_refuse_mismatched_dimensions():
@@ -264,6 +272,65 @@ def test_spans_match_grouping_by_row_space(data):
     got = [subset for subset, _ in
            independent_spans(vectors, k, kernel_basis)]
     assert got == sorted(first.values())
+
+
+def test_spans_skip_zero_rows_and_scan_directions():
+    got = spans([[0, 0], [1, 2], [0, 0], [-2, -4], ["1/3", 0]], 1)
+    assert got == [((1,), vec(2, -1)), ((4,), vec(0, 1))]
+    assert spans([[0, 0], [1, 2]], 2, kernel_basis) == []
+    assert spans([[0, 0, 0], ["-1/2", 0, 3]], 0, kernel_basis) == \
+        [((), (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))]
+
+
+def test_span_kernel_receives_the_rows_directions():
+    received = []
+
+    def kernel(m):
+        received.append(m.entries)
+        return kernel_line(m)
+
+    vectors = [vec("-1/2", 1), vec(0, 3), vec(0, 0)]
+    got = list(independent_spans(vectors, 1, kernel))
+    assert got == [((0,), vec(2, 1)), ((1,), vec(1, 0))]
+    assert received == [((1, -2),), ((0, 1),)]
+
+
+def reference_spans(vectors, k, kernel):
+    """The span scan on the vectors as given: from_rows, rank, kernel."""
+    dim = vectors[0].dim
+    seen, out = set(), []
+    for subset in itertools.combinations(range(len(vectors)), k):
+        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=dim)
+        if rank(m) != k:
+            continue
+        key = kernel(m)
+        if key not in seen:
+            seen.add(key)
+            out.append((subset, key))
+    return out
+
+
+nonzero_scales = st.fractions(min_value=-5, max_value=5,
+                              max_denominator=7).filter(bool)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=d,
+                                    max_size=d), nonzero_scales),
+                 min_size=1, max_size=6),
+        st.sampled_from(["line", "basis"]),
+        st.integers(0, d))))
+def test_spans_are_invariant_under_row_scaling(data):
+    drawn, which, k = data
+    d = len(drawn[0][0])
+    kernel, k = (kernel_line, d - 1) if which == "line" else (kernel_basis, k)
+    rows = [vec(*r) for r, _ in drawn]
+    scaled = [v.scale(c) for v, (_, c) in zip(rows, drawn)]
+    got = list(independent_spans(scaled, k, kernel))
+    assert got == list(independent_spans(rows, k, kernel))
+    assert got == reference_spans(scaled, k, kernel)
 
 
 def test_first_parallel_pair_in_combinations_order():
