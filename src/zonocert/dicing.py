@@ -18,9 +18,8 @@ from fractions import Fraction
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
                      RepresentationCheckFailed, Singular)
 from .ratgeom import (RatMatrix, RatVector, _as_index, _as_rational,
-                      _bareiss_det, _cleared_rows, first_parallel_pair,
-                      independent_spans, inverse, kernel_line, rank,
-                      unit_vector)
+                      _bareiss_det, first_parallel_pair, independent_spans,
+                      inverse, kernel_line, rank)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class DicingRep:
 def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
     """Indices of the first d independent normals: the pivot columns of
     the matrix whose columns are the normals."""
-    pivots = RatMatrix.from_columns(ns.normals)._echelon[2]
+    pivots = RatMatrix.from_columns(ns.normals)._echelon[3]
     if len(pivots) != ns.dimension:
         raise InvalidNormalSet("normals do not span the space")
     return pivots
@@ -161,10 +160,10 @@ def is_totally_unimodular(m: RatMatrix) -> bool:
     Exponential in the matrix size; meant for the desk scale this package
     targets.  Raises NonIntegerEntries when some entry is fractional.
     """
-    ints, factor = _cleared_rows(m.entries)
-    if factor != 1:
+    cleared = m._integer_rows
+    if any(s != 1 for s, _ in cleared):
         raise NonIntegerEntries("total unimodularity needs integer entries")
-    columns = list(zip(*ints))
+    columns = list(zip(*(ints for _, ints in cleared)))
     for k in range(1, min(m.rows, m.cols) + 1):
         for rows_sub in itertools.combinations(range(m.rows), k):
             # each column cut to the row subset; a minor is k of these,
@@ -184,7 +183,6 @@ def unimodular_representation(ns: NormalSet, es: EdgeSet) -> DicingRep:
     basis, and the normal matrix is totally unimodular.  Any violation
     raises RepresentationCheckFailed.
     """
-    d = ns.dimension
     b_idx = first_basis_indices(ns)
     b_mat = RatMatrix.from_columns([ns.normals[i] for i in b_idx])
     transform = b_mat.transpose()
@@ -215,13 +213,7 @@ def unimodular_representation(ns: NormalSet, es: EdgeSet) -> DicingRep:
                     raise RepresentationCheckFailed(
                         f"{label} column {k} has entry {e} outside 0/+-1")
 
-    for label, cols in (("normal", normals_cols), ("edge", edges_cols)):
-        col_set = {c.entries for c in cols}
-        for i in range(d):
-            if unit_vector(d, i).entries not in col_set:
-                raise RepresentationCheckFailed(
-                    f"{label} matrix misses standard basis column {i}")
-
+    # B^-1 b_k = e_k, and b_k's dual edge, signed to pair +1, maps to e_k
     normals_matrix = RatMatrix.from_columns(normals_cols)
     if not is_totally_unimodular(normals_matrix):
         raise RepresentationCheckFailed("normal matrix is not totally unimodular")

@@ -185,16 +185,14 @@ def check_n_equals_e(fv: FacetVectorSet, es: EdgeSet) -> tuple[tuple[int, int, i
     triples with edges[i] == sign * vectors[j]; raises Mismatch listing
     unmatched edges and unmatched facet vectors otherwise.
     """
-    unmatched = {}
-    for i, e in enumerate(es.edges):
-        unmatched[e.entries] = i
+    unmatched = {_sign_normalized(e).entries: i for i, e in enumerate(es.edges)}
     pairs = []
     extra = []
     for j, lam in enumerate(fv.vectors):
         key = _sign_normalized(lam).entries
         if key in unmatched:
             i = unmatched.pop(key)
-            sign = 1 if lam.entries == key else -1
+            sign = 1 if lam.entries == es.edges[i].entries else -1
             pairs.append((i, j, sign))
         else:
             extra.append(lam)

@@ -8,9 +8,12 @@ dot product or a matrix-vector product is then one integer sum and one
 ``Fraction`` per entry.
 Rank, determinant, reduced echelon form, kernels and inverses all come
 from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
-rows.  Each matrix runs it once for rank, reduced echelon form and
-kernels together and caches the eliminated rows; kernels are read off
-them as integer vectors, with no rational echelon form in between.  The
+rows.  Each matrix runs it once for rank, determinant, reduced echelon
+form and kernels together and caches the eliminated rows; kernels are
+read off them as integer vectors, with no rational echelon form in
+between, and the determinant is the signed last pivot over the row
+denominators.  ``RatMatrix.from_rows`` shares its vectors' cleared
+forms, so a matrix stacked from vectors clears nothing again.  The
 span enumerator scans the primitive integer directions of its vectors,
 not the vectors themselves, so each subset costs one elimination on
 small integer rows.  The same pivot step, ``_pivot``, also
@@ -128,10 +131,6 @@ def zero_vector(dim: int) -> RatVector:
     return RatVector([_ZERO] * dim)
 
 
-def unit_vector(dim: int, i: int) -> RatVector:
-    return RatVector([_ONE if j == i else _ZERO for j in range(dim)])
-
-
 def canonical_direction(v: RatVector) -> RatVector:
     """Scale a nonzero vector to integer entries, content 1, first nonzero positive."""
     return _primitive(v._integers[1])
@@ -167,23 +166,17 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, vectors: Sequence[RatVector], cols: int | None = None) -> "RatMatrix":
+        """The matrix with the given rows, sharing each vector's entries and
+        cached integer form: no coercion and no clearing per entry.  An
+        empty matrix needs ``cols``; otherwise it is the rows' dimension."""
+        m = cls.__new__(cls)
         if not vectors:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
-            m = cls.__new__(cls)
-            object.__setattr__(m, "entries", ())
             object.__setattr__(m, "_empty_cols", cols)
-            return m
-        return cls(v.entries for v in vectors)
-
-    @classmethod
-    def _stacked(cls, vectors: Sequence[RatVector], cols: int) -> "RatMatrix":
-        """The matrix with the given rows, sharing each vector's entries and
-        cached integer form: no coercion and no clearing per entry."""
-        m = cls.__new__(cls)
+        elif len({v.dim for v in vectors}) != 1:
+            raise ValueError("ragged matrix")
         object.__setattr__(m, "entries", tuple(v.entries for v in vectors))
-        if not vectors:
-            object.__setattr__(m, "_empty_cols", cols)
         vars(m)["_integer_rows"] = tuple(v._integers for v in vectors)
         return m
 
@@ -191,8 +184,7 @@ class RatMatrix:
     def from_columns(cls, vectors: Sequence[RatVector]) -> "RatMatrix":
         if not vectors:
             raise ValueError("no columns")
-        dim = vectors[0].dim
-        return cls([[v[i] for v in vectors] for i in range(dim)])
+        return cls.from_rows(vectors).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -215,16 +207,13 @@ class RatMatrix:
         return tuple(map(_clear, self.entries))
 
     @cached_property
-    def _echelon(self) -> tuple[list[list[int]], int, tuple[int, ...]]:
-        """The cleared rows after one Bareiss elimination, their last pivot
-        p and the pivot columns; rank, rref and kernels all read it, and
-        none of them mutates the rows."""
-        a, _ = _mutable_rows(self._integer_rows)
-        _, _, p, pivots = _bareiss(a)
-        return a, p, pivots
-
-    def row(self, i: int) -> RatVector:
-        return RatVector(self.entries[i])
+    def _echelon(self) -> tuple[list[list[int]], int, int, tuple[int, ...]]:
+        """The cleared rows after one Bareiss elimination, the sign of its
+        row swaps, the last pivot p and the pivot columns; rank, det, rref
+        and kernels all read it, and none of them mutates the rows."""
+        a = [list(ints) for _, ints in self._integer_rows]
+        _, sign, p, pivots = _bareiss(a)
+        return a, sign, p, pivots
 
     def column(self, j: int) -> RatVector:
         return RatVector(r[j] for r in self.entries)
@@ -257,20 +246,6 @@ class RatMatrix:
 
 # ---------------------------------------------------------------------------
 # fraction-free elimination
-
-
-def _cleared_rows(rows: Iterable[Sequence[Fraction]]
-                  ) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns integer rows and the product
-    of the scaling factors (for determinant correction)."""
-    return _mutable_rows([_clear(row) for row in rows])
-
-
-def _mutable_rows(cleared: Sequence[tuple[int, Sequence[int]]]
-                  ) -> tuple[list[list[int]], int]:
-    """Fresh integer row lists from cleared forms, and the product of
-    their denominators."""
-    return [list(ints) for _, ints in cleared], math.prod(s for s, _ in cleared)
 
 
 def _common_cleared(rows: Sequence[Sequence[Fraction]]
@@ -373,15 +348,19 @@ def _bareiss_det(a: list[list[int]]) -> int:
 
 def rank(m: RatMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    return len(m._echelon[2])
+    return len(m._echelon[3])
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant; raises NotSquare for rectangular input."""
+    """Exact determinant, read off the cached elimination: sign * p over
+    the product of the row denominators; raises NotSquare for rectangular
+    input."""
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
-    a, factor = _mutable_rows(m._integer_rows)
-    return Fraction(_bareiss_det(a), factor)
+    _, sign, p, pivots = m._echelon
+    if len(pivots) < m.rows:
+        return _ZERO
+    return Fraction(sign * p, math.prod(s for s, _ in m._integer_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +371,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
     if not m.entries:
         return RatMatrix.from_rows([], cols=m.cols), ()
-    a, p, pivots = m._echelon
+    a, _, p, pivots = m._echelon
     return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
 
 
@@ -400,7 +379,7 @@ def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
     """The last pivot p of the cleared rows of m and one integer kernel
     vector per free column: p there, minus that column of the eliminated
     rows at the pivot columns, 0 at the other free columns."""
-    a, p, pivots = m._echelon
+    a, _, p, pivots = m._echelon
     out = []
     for free in range(m.cols):
         if free in pivots:
@@ -451,7 +430,7 @@ def independent_spans(vectors: Sequence[RatVector], k: int,
     rows = [v if v.is_zero() else canonical_direction(v) for v in vectors]
     seen = set()
     for subset in itertools.combinations(range(len(rows)), k):
-        m = RatMatrix._stacked([rows[i] for i in subset], dim)
+        m = RatMatrix.from_rows([rows[i] for i in subset], dim)
         if rank(m) != k:
             continue
         key = kernel(m)
@@ -470,8 +449,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise NotSquare(f"inverse of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    a, _ = _cleared_rows(row + tuple(_ONE if i == j else _ZERO for j in range(n))
-                         for i, row in enumerate(m.entries))
+    a = [list(ints) + [s if i == j else 0 for j in range(n)]
+         for i, (s, ints) in enumerate(m._integer_rows)]
     _, _, p, pivots = _bareiss(a)
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")

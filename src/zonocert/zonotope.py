@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient, ZeroDirection)
-from .ratgeom import (RatMatrix, RatVector, _as_index, _cleared_rows, _pivot,
+from .ratgeom import (RatMatrix, RatVector, _as_index, _clear, _pivot,
                       canonical_direction, independent_spans, kernel_basis,
                       kernel_line, rank, zero_vector)
 
@@ -203,9 +203,9 @@ def _in_convex_hull(p: tuple[Fraction, ...],
         return False
     n = len(pts)
     m = len(p) + 1
-    rows, _ = _cleared_rows([[q[r] for q in pts] + [p[r]] for r in range(m - 1)]
-                            + [[1] * (n + 1)])
-    rows = [[-x for x in row] if row[-1] < 0 else row for row in rows]
+    rows = [_clear([q[r] for q in pts] + [p[r]])[1] for r in range(m - 1)]
+    rows.append((1,) * (n + 1))
+    rows = [[-x for x in row] if row[-1] < 0 else list(row) for row in rows]
     sums = [sum(col) for col in zip(*rows)]
     tableau = [row[:n] + [int(i == r) for i in range(m)] + row[n:]
                for r, row in enumerate(rows)]

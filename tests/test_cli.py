@@ -5,13 +5,18 @@ code plus whatever landed on stdout, stderr, or the output file.  One
 test exercises the installed console script through a real subprocess.
 """
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonocert import cli, jsonio
 from zonocert.cli import bundled_corpus_path, main
@@ -494,3 +499,71 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == \
         "16 entries, 16 passed, 0 failed"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every verb
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# rational strings, some malformed, and a few non-string entries
+entries = st.one_of(st.integers(-2, 2).map(str),
+                    st.sampled_from(["1/2", "-3/2", "0/1", "1/0", "x", ""]),
+                    json_values)
+
+
+@st.composite
+def documents(draw):
+    """A normal set or a zonotope of dimension at most 4: often the unit
+    rows plus a few small rows, so that many are valid; sometimes one
+    field is replaced by any JSON value."""
+    d = draw(st.integers(1, 4))
+    key = draw(st.sampled_from(["normals", "generators"]))
+    unit = [[str(int(i == j)) for j in range(d)] for i in range(d)]
+    small = st.lists(st.sampled_from(["-1", "0", "1", "2"]),
+                     min_size=d, max_size=d)
+    rows = draw(st.sampled_from([unit, []])) + draw(st.lists(small, max_size=3))
+    doc = {"schema": "v1", "dim": d, key: rows}
+    if key == "normals":
+        doc["weights"] = draw(st.lists(st.sampled_from(["1", "2", "1/2", "0"]),
+                                       min_size=len(rows), max_size=len(rows)))
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        doc[field] = draw(json_values | st.lists(st.lists(entries, max_size=5),
+                                                 max_size=4))
+    return doc
+
+
+VERBS = [["edges"], ["lattice"], ["zonotope"], ["facets"], ["venkov"],
+         ["dv-cell"], ["dv-cell", "--multiplier", "1/2"], ["certify"],
+         ["export", "--format", "svg"], ["export", "--format", "obj"],
+         ["export", "--format", "svg", "--patch-radius", "1"],
+         ["export", "--format", "obj", "--patch-radius", "1"], ["corpus"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(VERBS), st.one_of(
+    documents(), documents(), json_values,
+    st.lists(st.fixed_dictionaries({"name": st.text(max_size=2),
+                                    "normal_set": documents()}), max_size=2)))
+def test_cli_fuzz_exits_cleanly(verb, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+        with open(src, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(verb + [src, "-o", dst])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            with open(dst, encoding="utf-8") as fh:
+                text = fh.read()
+            if verb == ["corpus"]:
+                assert text.endswith(" failed\n")
+            else:
+                assert "error" in json.loads(text)

@@ -407,6 +407,16 @@ def test_matching_rejects_corrupted_edge_set():
     assert vec(1, -1) in info.value.extra
 
 
+def test_matching_is_up_to_sign_for_negative_led_edges():
+    ns = normal_set(SQUARE)
+    fv = facet_vectors(ns)
+    edges = EdgeSet(2, [vec(-1, 0), vec(0, 1)], [(1,), (0,)])
+    bij = check_n_equals_e(fv, edges)
+    assert bij == ((0, 1, -1), (1, 0, 1))
+    for i, j, sign in bij:
+        assert edges.edges[i] == fv.vectors[j].scale(sign)
+
+
 # ---------------------------------------------------------------------------
 # basis extraction
 
@@ -617,6 +627,120 @@ def test_graphic_count_oracle_on_small_graphs():
     assert _connected_partitions(4, cycle, 2) == 6
     cert = certify_second_voronoi(normal_set(graphic_normals(4, k4)))
     assert len(cert.edge_set.edges) == 7
+
+
+def _nullity(edges) -> int:
+    """Edge count minus the rank of the edges in the graphic matroid: the
+    number of independent cycles, by union-find."""
+    root = {}
+
+    def find(v):
+        while root.get(v, v) != v:
+            v = root[v]
+        return v
+
+    rank = 0
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            rank += 1
+    return len(edges) - rank
+
+
+def _bridgeless_subsets(edges, nullity) -> int:
+    """Edge subsets of the given nullity in which every edge lies on a
+    cycle (dropping it lowers the nullity), by brute force over subsets."""
+    found = 0
+    for k in range(len(edges) + 1):
+        for sub in itertools.combinations(edges, k):
+            if _nullity(sub) == nullity and all(
+                    _nullity(sub[:i] + sub[i + 1:]) == nullity - 1
+                    for i in range(k)):
+                found += 1
+    return found
+
+
+def cographic_normals(n, edges):
+    """One normal per graph edge: its column of the signed fundamental-cycle
+    matrix of a breadth-first spanning tree from vertex 0, one row per
+    edge off the tree, so d = m - n + 1."""
+    # up[v]: tree edge index -> +1 or -1, walking from v up to vertex 0
+    # along or against the edge's orientation
+    up = {0: {}}
+    tree = set()
+    todo = [0]
+    while todo:
+        u = todo.pop(0)
+        for k, (a, b) in enumerate(edges):
+            v = b if a == u else a if b == u else None
+            if v is not None and v not in up:
+                up[v] = {**up[u], k: 1 if a == v else -1}
+                tree.add(k)
+                todo.append(v)
+    rows = []
+    for f, (a, b) in enumerate(edges):
+        if f in tree:
+            continue
+        # the cycle runs a -> b along f, then b up the tree and down to a
+        row = [up[b].get(k, 0) - up[a].get(k, 0) for k in range(len(edges))]
+        row[f] = 1
+        rows.append(row)
+    return [list(col) for col in zip(*rows)]
+
+
+K5_GRAPH = list(itertools.combinations(range(5), 2))
+# bridgeless, minimum degree 3 and no two edges in series, so no two
+# normals are parallel
+COGRAPHIC_GRAPHS = {
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+    "K3,3": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                  (0, 3), (1, 4), (2, 5)]),
+    "W4": (5, [(1, 2), (2, 3), (3, 4), (1, 4)] + [(0, i) for i in range(1, 5)]),
+    "K5-e": (5, K5_GRAPH[1:]),
+    "K5": (5, K5_GRAPH),
+}
+
+
+@st.composite
+def cographic_dicings(draw):
+    """One of the fixed graphs, with positive weights per edge."""
+    name = draw(st.sampled_from(sorted(COGRAPHIC_GRAPHS)))
+    n, edges = COGRAPHIC_GRAPHS[name]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                            max_size=len(edges)))
+    return n, edges, weights
+
+
+@settings(max_examples=12, deadline=None)
+@given(cographic_dicings())
+def test_cographic_dicing_counts_match_the_graph(data):
+    # The normals realize the bond matroid M*(G).  Its hyperplanes are the
+    # complements of the cycles of G, so edges and facets are cycles; its
+    # rank d-2 flats are the complements of the bridgeless edge subsets of
+    # nullity 2.
+    n, edges, weights = data
+    normals = cographic_normals(n, edges)
+    assert len(normals[0]) == len(edges) - n + 1
+    cert = certify_second_voronoi(normal_set(normals, weights))
+    assert verify_certificate(cert).ok
+    cycles = _bridgeless_subsets(edges, 1)
+    assert len(cert.edge_set.edges) == len(cert.facet_vectors.vectors) == cycles
+    assert len(ridge_classification(cert.zonotope)) == \
+        _bridgeless_subsets(edges, 2)
+
+
+@pytest.mark.parametrize("name, cycles, ridges", [
+    ("K4", 7, 6), ("K3,3", 15, 24), ("prism", 14, 22), ("W4", 13, 20),
+    ("K5-e", 22, 49), ("K5", 37, 115)])
+def test_cographic_counts_on_the_fixed_graphs(name, cycles, ridges):
+    n, edges = COGRAPHIC_GRAPHS[name]
+    assert _bridgeless_subsets(edges, 1) == cycles
+    assert _bridgeless_subsets(edges, 2) == ridges
+    cert = certify_second_voronoi(normal_set(cographic_normals(n, edges)))
+    assert len(cert.edge_set.edges) == cycles
+    assert len(ridge_classification(cert.zonotope)) == ridges
 
 
 @pytest.mark.parametrize("rows", [SQUARE, HEXAGONAL, CHECKER, CUBIC, RHOMBIC,

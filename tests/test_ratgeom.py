@@ -17,8 +17,8 @@ from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
 from zonocert.errors import (DegenerateSpan, InternalFault, NotSquare,
                              RankMismatch, Singular)
 from zonocert import ratgeom
-from zonocert.ratgeom import (_bareiss_det, _cleared_rows, _pivot,
-                              first_parallel_pair, independent_spans)
+from zonocert.ratgeom import (_bareiss_det, _pivot, first_parallel_pair,
+                              independent_spans)
 
 from conftest import mat, vec
 
@@ -104,7 +104,10 @@ def test_cached_integer_form_leaves_equality_and_hash_alone():
     assert "_integers" in vars(v) and "_integers" not in vars(u)
     assert v._integers == (6, (3, -4, 18))
     assert u == v and hash(u) == hash(v) == before and repr(u) == repr(v)
-    m, n = mat([[1, "1/2", 0]]), mat([[1, "1/2", 0]])
+    # the coercing constructor clears lazily; from_rows shares the rows'
+    # cleared forms at once
+    row = [1, Fraction(1, 2), 0]
+    m, n = RatMatrix([row]), RatMatrix([row])
     assert m @ v == vec("1/6")
     assert "_integer_rows" in vars(m) and "_integer_rows" not in vars(n)
     assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
@@ -116,6 +119,25 @@ def test_cached_integer_form_leaves_equality_and_hash_alone():
     assert kernel_basis(m) == kernel_basis(n)
     assert rref(m) == rref(n) and rank(m) == rank(n)
     assert m._echelon[0] == cached
+
+
+def test_from_rows_shares_each_vectors_cleared_form():
+    u, v = vec("1/2", "-2/3", 3), vec(4, 0, "1/5")
+    m = RatMatrix.from_rows([u, v, u])
+    assert m.entries == (u.entries, v.entries, u.entries)
+    assert all(a is b._integers for a, b in zip(m._integer_rows, (u, v, u)))
+    assert m == RatMatrix([u.entries, v.entries, u.entries])
+    assert RatMatrix.from_rows([], cols=3).cols == 3
+
+
+def test_row_and_column_constructors_refuse_ragged_input():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        RatMatrix.from_rows([vec(1, 2), vec(1, 2, 3)])
+    with pytest.raises(ValueError, match="explicit column count"):
+        RatMatrix.from_rows([])
+    for columns in ([vec(1, 2), vec(1)], [vec(1), vec(1, 2)]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            RatMatrix.from_columns(columns)
 
 
 def test_products_refuse_mismatched_dimensions():
@@ -361,6 +383,21 @@ def test_det_rejects_rectangular():
         det(mat([[1, 0, 0], [0, 1, 0]]))
 
 
+def test_det_reads_the_elimination_rank_made(monkeypatch):
+    real = ratgeom._bareiss
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(ratgeom, "_bareiss", counted)
+    m, singular = mat([[2, "1/3"], ["1/2", 5]]), mat([[1, 2], [2, 4]])
+    assert rank(m) == 2 and det(m) == Fraction(59, 6)
+    assert rank(singular) == 1 and det(singular) == 0
+    assert calls == [2, 2]
+
+
 def test_pivot_refuses_a_wrong_previous_pivot():
     a = [[2, 1], [1, 3]]
     _pivot(a, 0, 0, 1)
@@ -377,7 +414,9 @@ def test_pivot_refuses_a_wrong_previous_pivot():
 @given(st.integers(1, 4).flatmap(lambda n: matrix_rows(n, n)))
 def test_det_matches_cofactor_expansion(rows):
     assert det(mat(rows)) == naive_det(rows)
-    ints, factor = _cleared_rows(mat(rows).entries)
+    cleared = mat(rows)._integer_rows
+    ints = [row for _, row in cleared]
+    factor = math.prod(s for s, _ in cleared)
     assert _bareiss_det(ints) == naive_det(ints) == det(mat(rows)) * factor
 
 
