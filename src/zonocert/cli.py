@@ -291,13 +291,11 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
             k1, k2 = kernel_basis(RatMatrix.from_rows([normal], cols=3))
             if det(RatMatrix.from_rows([k1, k2, normal])) < 0:
                 k1, k2 = k2, k1
-            planar = []
+            planar = {}
             for v in on_facet:
                 rel = v - center
-                planar.append(((k1.dot(rel), k2.dot(rel)), v))
-            ordered = sorted(planar, key=functools.cmp_to_key(
-                lambda a, b: _angular_cmp(a[0], b[0])))
-            polygons.append([index[v.entries] for _, v in ordered])
+                planar[k1.dot(rel), k2.dot(rel)] = index[v.entries]
+            polygons.append([planar[p] for p in _cyclic_order(list(planar))])
     return verts, polygons
 
 

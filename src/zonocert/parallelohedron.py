@@ -53,7 +53,7 @@ def _schur_blocks(g: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
             raise NotPositiveDefinite(
                 f"leading principal minor of order {j + 1} is not positive")
         work = [row[:] for row in block]
-        _pivot(work, 0, 0, prev, [1] * len(work))
+        _pivot(work, 0, 0, prev)
         prev, block = piv, [row[1:] for row in work[1:]]
     return out
 

@@ -13,7 +13,8 @@ form and kernels together and caches the eliminated rows; kernels are
 read off them as integer vectors, with no rational echelon form in
 between, and the determinant is the signed last pivot over the row
 denominators.  ``RatMatrix.from_rows`` shares its vectors' cleared
-forms, so a matrix stacked from vectors clears nothing again.  The
+forms, so a matrix stacked from vectors clears nothing again.  A
+matrix's width is part of its value, so one with no rows keeps it.  The
 span enumerator scans the primitive integer directions of its vectors,
 not the vectors themselves, so each subset costs one elimination on
 small integer rows.  The same pivot step, ``_pivot``, also
@@ -102,9 +103,13 @@ class RatVector:
         return _cleared_dot(self._integers, other._integers)
 
     def __add__(self, other: "RatVector") -> "RatVector":
+        if self.dim != other.dim:
+            raise ValueError("sum of vectors of different dimension")
         return RatVector(a + b for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other: "RatVector") -> "RatVector":
+        if self.dim != other.dim:
+            raise ValueError("difference of vectors of different dimension")
         return RatVector(a - b for a, b in zip(self.entries, other.entries))
 
     def __neg__(self) -> "RatVector":
@@ -152,31 +157,44 @@ def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
 # matrices
 
 
+def _width(rows: Sequence[Sequence], cols: int | None) -> int:
+    """The column count of a matrix with these rows: all rows share one
+    length, a given ``cols`` must equal it, and no rows need ``cols``."""
+    if not rows:
+        if cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        return cols
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    if cols is not None and cols != width:
+        raise ValueError(
+            f"rows of length {width} in a matrix of {cols} columns")
+    return width
+
+
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix, row major."""
+    """Immutable rational matrix, row major.  Its width is part of its
+    value: matrices with no rows and different ``cols`` differ."""
 
     entries: tuple[tuple[Fraction, ...], ...]
+    cols: int
 
-    def __init__(self, entries: Iterable[Iterable]):
+    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(_as_rational(e) for e in row) for row in entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "cols", _width(rows, cols))
 
     @classmethod
     def from_rows(cls, vectors: Sequence[RatVector], cols: int | None = None) -> "RatMatrix":
         """The matrix with the given rows, sharing each vector's entries and
-        cached integer form: no coercion and no clearing per entry.  An
-        empty matrix needs ``cols``; otherwise it is the rows' dimension."""
+        cached integer form: no coercion and no clearing per entry.  The
+        width follows the same rule as the constructor's."""
         m = cls.__new__(cls)
-        if not vectors:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            object.__setattr__(m, "_empty_cols", cols)
-        elif len({v.dim for v in vectors}) != 1:
-            raise ValueError("ragged matrix")
-        object.__setattr__(m, "entries", tuple(v.entries for v in vectors))
+        rows = tuple(v.entries for v in vectors)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "cols", _width(rows, cols))
         vars(m)["_integer_rows"] = tuple(v._integers for v in vectors)
         return m
 
@@ -189,17 +207,11 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)]
-                    for i in range(n)])
+                    for i in range(n)], cols=n)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        if not self.entries:
-            return getattr(self, "_empty_cols", 0)
-        return len(self.entries[0])
 
     @cached_property
     def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -223,7 +235,7 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+                          for j in range(self.cols)], cols=self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, RatVector):
@@ -236,12 +248,13 @@ class RatMatrix:
                 raise ValueError("inner matrix dimensions differ")
             cols = [_clear(c.entries) for c in other.columns()]
             return RatMatrix([[_cleared_dot(row, c) for c in cols]
-                              for row in self._integer_rows])
+                              for row in self._integer_rows], cols=other.cols)
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
         c = _as_rational(c)
-        return RatMatrix([[c * e for e in row] for row in self.entries])
+        return RatMatrix([[c * e for e in row] for row in self.entries],
+                         cols=self.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +283,11 @@ def _primitive(ints: Sequence[int]) -> RatVector:
     return v
 
 
-def _pivot(a: list[list[int]], r: int, c: int, prev: int,
-           starts: Sequence[int] = ()) -> None:
-    """Fraction-free pivot on a[r][c], in place: every other row i becomes
-    (row * a[r][c] - row[c] * a[r]) / prev from column starts[i] (or 0)
-    on.  With prev the previous pivot the division is exact (Bareiss).
+def _pivot(a: list[list[int]], r: int, c: int, prev: int) -> None:
+    """Fraction-free pivot on a[r][c], in place: every other row becomes
+    (row * a[r][c] - row[c] * a[r]) / prev over its whole length.  With
+    prev the previous pivot the division is exact (Bareiss).  Each row is
+    overwritten in place, so a caller may keep a reference to it.
 
     A unit prev (+-1), as on every pivot of a totally unimodular system,
     divides by multiplying: no remainder check and no floor division, and
@@ -285,35 +298,34 @@ def _pivot(a: list[list[int]], r: int, c: int, prev: int,
     for i, row in enumerate(a):
         if i == r:
             continue
-        lo = starts[i] if starts else 0
         f = row[c]
         if unit:
             if piv == prev:
                 if f:
                     g = f * prev
-                    row[lo:] = [x - g * t for x, t in zip(row[lo:], top[lo:])]
+                    row[:] = [x - g * t for x, t in zip(row, top)]
             elif f:
-                row[lo:] = [(x * piv - f * t) * prev
-                            for x, t in zip(row[lo:], top[lo:])]
+                row[:] = [(x * piv - f * t) * prev for x, t in zip(row, top)]
             else:
                 g = piv * prev
-                row[lo:] = [x * g for x in row[lo:]]
+                row[:] = [x * g for x in row]
             continue
-        new = [x * piv - f * t for x, t in zip(row[lo:], top[lo:])]
+        new = [x * piv - f * t for x, t in zip(row, top)]
         if any(x % prev for x in new):
             raise InternalFault("fraction-free elimination not exact")
-        row[lo:] = [x // prev for x in new]
+        row[:] = [x // prev for x in new]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Each pivot clears its column above and below; every division by the
-    previous pivot is exact (Bareiss).  Returns the rank, the sign of the
-    row swaps, the last pivot p and the pivot columns.  Afterwards every
-    pivot row holds p in its pivot column and 0 in the other pivot
-    columns, so the rows divided by p are the reduced echelon form, and
-    for a square matrix of full rank sign * p is the determinant.
+    Each pivot clears its column above and below, over whole rows; every
+    division by the previous pivot is exact (Bareiss).  Returns the rank,
+    the sign of the row swaps, the last pivot p and the pivot columns.
+    Afterwards every pivot row holds p in its pivot column and 0 in the
+    other pivot columns, so the rows divided by p are the reduced echelon
+    form, and for a square matrix of full rank sign * p is the
+    determinant.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
@@ -331,9 +343,7 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int, tuple[int, ...]]:
                 continue
             a[r], a[piv_row] = a[piv_row], a[r]
             sign = -sign
-        # rows above start at their own pivot, rows below at column c;
-        # everything left of that is already 0
-        _pivot(a, r, c, prev, pivots + [c] * (nrows - r))
+        _pivot(a, r, c, prev)
         prev = a[r][c]
         pivots.append(c)
     return len(pivots), sign, prev, tuple(pivots)
@@ -369,10 +379,9 @@ def det(m: RatMatrix) -> Fraction:
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns."""
-    if not m.entries:
-        return RatMatrix.from_rows([], cols=m.cols), ()
     a, _, p, pivots = m._echelon
-    return RatMatrix([[Fraction(x, p) for x in row] for row in a]), pivots
+    return RatMatrix([[Fraction(x, p) for x in row] for row in a],
+                     cols=m.cols), pivots
 
 
 def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
@@ -454,7 +463,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     _, _, p, pivots = _bareiss(a)
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
-    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
+    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a], cols=n)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +551,7 @@ def _hnf_matrix(generators: Sequence[RatVector]) -> RatMatrix:
         raise DegenerateSpan(
             f"generators span a rank {len(fixed)} sublattice of rank {dim} space")
     return RatMatrix([[Fraction(fixed[j][i], den) for j in range(dim)]
-                      for i in range(dim)])
+                      for i in range(dim)], cols=dim)
 
 
 def hnf_lattice_basis(generators: Sequence[RatVector]) -> LatticeBasis:
