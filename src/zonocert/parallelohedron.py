@@ -1,8 +1,8 @@
 """Dirichlet-Voronoi cells of dicing lattices and their certification.
 
 The pipeline: a weighted normal set induces a positive definite form Q,
-zone vectors generate the candidate cell as a zonotope, each facet is
-inverted through the Q-bisector identity to a lattice vector, and the
+zone vectors generate the candidate cell as a zonotope, each facet gives
+the lattice vector twice its centre, checked on the Q-bisector, and the
 certificate records that these facet vectors coincide with the dicing
 edges up to sign and contain a basis of the lattice with determinant
 +-1 in lattice coordinates.  An independent brute-force cell oracle and
@@ -11,12 +11,11 @@ a verifier that re-checks certificates from raw fields are included.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 
 from .dicing import (EdgeSet, NormalSet, compute_edge_set, dual_edge_indices,
                      first_basis_indices, unimodular_representation)
@@ -143,16 +142,13 @@ class FacetVectorSet:
 
 def _facet_vectors_from(q: QuadraticForm, lattice: LatticeBasis,
                         facet_list: tuple[FacetDescriptor, ...]) -> FacetVectorSet:
-    q_inv = inverse(q.matrix)
     vectors = []
     for f in facet_list:
-        w = q_inv @ f.normal
-        denom = f.normal.dot(w)
-        if denom <= 0:
-            raise InternalFault("facet normal has nonpositive inverse-form norm")
-        lam = w.scale(2 * f.support / denom)
-        # bisector identity: x . Q lam == phi(lam)/2 on the facet plane
-        if (2 * f.support / denom) * f.support != q.value(lam) * _HALF:
+        # the neighbour across F is centred at 2 c_F
+        lam = f.center.scale(2)
+        image = q.matrix @ lam
+        # bisector identity: the plane x . n = support is x . Q lam = phi(lam)/2
+        if image.scale(f.support) != f.normal.scale(lam.dot(image) * _HALF):
             raise NotInLattice(
                 f"facet with normal {f.normal.entries} is not a point bisector")
         if not lattice_contains(lattice, lam):
@@ -163,8 +159,8 @@ def _facet_vectors_from(q: QuadraticForm, lattice: LatticeBasis,
 
 
 def facet_vectors(ns: NormalSet) -> FacetVectorSet:
-    """Facet vectors of the DV cell: lattice points whose bisectors carry
-    the facets of the zone vector zonotope."""
+    """Facet vectors of the DV cell: twice the facet centres of the zone
+    vector zonotope, each a lattice point whose bisector carries its facet."""
     q = quadratic_form(ns)
     lat = lattice_of_dicing(ns)
     z = dv_zonotope(ns)
@@ -308,10 +304,10 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
                ) -> list[VertexDuality]:
     """Cell vertices, each with its equidistant lattice points and phi(x).
 
-    Enumerates lattice vectors up to a radius, prunes half-space
-    constraints that are implied by a two-term decomposition, intersects
-    the surviving constraints, and refuses to answer unless the result is
-    provably complete: the enumerated set must span, every vertex must be
+    Enumerates lattice vectors up to a radius, keeps the half-spaces of
+    the relevant ones by Voronoi's parity rule, intersects them, and
+    refuses to answer unless the result is provably complete: the
+    enumerated set must span, every vertex must be
     equidistant to at least d+1 lattice points and to none closer, and
     the enumeration radius must cover four times the largest vertex norm,
     which by the Cauchy-Schwarz bound rules out any forgotten constraint.
@@ -343,23 +339,25 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     radius = radius_multiplier * Fraction(max(norms), s)
     enumerated = _short_vectors(gram, math.floor(s * radius))
 
-    # A decomposition lam = mu + nu with phi(mu) + phi(nu) <= phi(lam)
-    # always has a member with phi <= phi(lam)/2, so scanning the sorted
-    # prefix loses no pruning.  Ties in phi break by t Bc, in the order of
-    # the entries of Bc as t > 0, so vertices are found, and a failing one
-    # is named, in the order of space coordinates.
+    # Voronoi: c is relevant exactly when +-c are the only points of least
+    # phi in c + 2 Lambda.  Such a nu != +-c gives c = a + b with a, b =
+    # (c +- nu)/2 and phi(a) + phi(b) <= phi(c), a decomposition gives
+    # nu = a - b, and all of them lie in the enumerated ball.  Sorted by
+    # phi, the first points seen of a class are its shortest; ties break by
+    # t Bc, in the order of the entries of Bc as t > 0, so vertices are
+    # found, and a failing one is named, in the order of space coordinates.
     t, rows = _common_cleared(b.entries)
     image = {c: tuple(sum(map(mul, r, c)) for r in rows) for c, _ in enumerated}
     enumerated.sort(key=lambda item: (item[1], image[item[0]]))
-    values = dict(enumerated)
-    phis = [phi for _, phi in enumerated]
-    # one half-space z . c <= Phi(c) per enumerated lattice point
-    constraints: list[tuple[tuple[int, ...], int]] = []
+    shortest: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
     for c, phi in enumerated:
-        head = itertools.islice(enumerated, bisect.bisect_right(phis, phi // 2))
-        if not any((phi_nu := values.get(tuple(map(sub, c, mu)))) is not None
-                   and phi_mu + phi_nu <= phi for mu, phi_mu in head):
-            constraints.append((c, phi))
+        least, points = shortest.setdefault(tuple(x % 2 for x in c), (phi, []))
+        if phi == least:
+            points.append(c)
+    relevant = {c for parity, (_, points) in shortest.items()
+                if any(parity) and len(points) == 2 for c in points}
+    # one half-space z . c <= Phi(c) per relevant lattice point
+    constraints = [(c, phi) for c, phi in enumerated if c in relevant]
     # Every pruned c is a sum of two points of smaller Phi, so by induction
     # the kept rows span what the enumerated rows span (B is invertible,
     # so coefficient rows have the rank of the vectors Bc).
@@ -573,10 +571,21 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
     try:
         q = quadratic_form(ns)
         recomputed = zone_vectors(ns)
+        gens = cert.zonotope.generators
         if tuple(v.entries for v in recomputed) != \
-                tuple(g.entries for g in cert.zonotope.generators):
+                tuple(g.entries for g in gens):
             bad.append("zonotope generators are not the zone vectors")
-        del q
+        # lam carries a facet: the support of the cell along Q lam is
+        # phi(lam)/2, and the generators orthogonal to Q lam have rank d-1
+        for lam in fv.vectors:
+            image = q.matrix @ lam
+            products = [image.dot(g) for g in gens]
+            if sum(map(abs, products)) != lam.dot(image):
+                bad.append(f"facet vector {lam.entries} does not bisect a "
+                           "supporting plane")
+            elif rank(RatMatrix.from_rows(
+                    [g for g, p in zip(gens, products) if p == 0], cols=d)) != d - 1:
+                bad.append(f"facet vector {lam.entries} bisects no facet")
     except ZonocertError as err:
         bad.append(f"quadratic form rejected: {err}")
 

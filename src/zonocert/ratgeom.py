@@ -159,10 +159,13 @@ def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
 
 def _width(rows: Sequence[Sequence], cols: int | None) -> int:
     """The column count of a matrix with these rows: all rows share one
-    length, a given ``cols`` must equal it, and no rows need ``cols``."""
+    length, a given ``cols`` must equal it, and no rows need ``cols``, a
+    non-negative int."""
     if not rows:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        if _as_index(cols) < 0:
+            raise ValueError(f"negative column count {cols}")
         return cols
     width = len(rows[0])
     if any(len(row) != width for row in rows):

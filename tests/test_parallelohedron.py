@@ -232,6 +232,31 @@ def _low_dimensional_corpus():
                 and "error" not in entry["expected"]]
 
 
+def test_facet_vectors_are_the_relevant_vectors_on_the_corpus():
+    # Voronoi: lam is relevant exactly when +-lam are the only points of
+    # least phi in lam + 2 Lambda; coefficients in [-3, 3] hold them here
+    docs = _low_dimensional_corpus()
+    assert len(docs) == 12
+    for doc in docs:
+        ns = parse_normal_set(doc)
+        q = quadratic_form(ns)
+        basis = lattice_of_dicing(ns).basis
+        classes = {}
+        for c in itertools.product(range(-3, 4), repeat=ns.dimension):
+            if any(x % 2 for x in c):
+                p = basis @ RatVector(c)
+                classes.setdefault(tuple(x % 2 for x in c), []).append(
+                    (q.value(p), p))
+        relevant = set()
+        for points in classes.values():
+            least = min(phi for phi, _ in points)
+            shortest = [p for phi, p in points if phi == least]
+            if len(shortest) == 2:
+                relevant.update(shortest)
+        vectors = certify_second_voronoi(ns).facet_vectors.vectors
+        assert relevant == {v for lam in vectors for v in (lam, -lam)}, doc
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(_low_dimensional_corpus()), st.integers(0, 2**32))
 def test_oracle_matches_the_zonotope_under_seeded_weights(doc, seed):
@@ -817,6 +842,19 @@ def _halve_facet_vector(cert):
             f"facet vector {half.entries} is outside the lattice")
 
 
+def _add_spurious_pair(cert):
+    # (1, 1) is a lattice point pairing 1 with both normals, but no facet
+    # of the unit square lies on its bisector
+    spurious = vec(1, 1)
+    es, k = cert.edge_set, len(cert.edge_set.edges)
+    edge_set = dataclasses.replace(es, edges=es.edges + (spurious,),
+                                   provenance=es.provenance + ((0,),))
+    return (dataclasses.replace(
+        _with_vectors(cert, cert.facet_vectors.vectors + (spurious,)),
+        edge_set=edge_set, ne_bijection=cert.ne_bijection + ((k, k, 1),)),
+        f"facet vector {spurious.entries} bisects no facet")
+
+
 def _repeat_basis_index(cert):
     return (dataclasses.replace(cert, basis_indices=(0, 0)),
             "basis_indices is not a set of d facet vector indices")
@@ -834,7 +872,7 @@ def _dependent_basis(cert):
     (HEXAGONAL, _drop_facet_vector), (HEXAGONAL, _drop_matched_pair),
     (HEXAGONAL, _double_edge), (HEXAGONAL, _double_lattice),
     (HEXAGONAL, _halve_facet_vector), (HEXAGONAL, _repeat_basis_index),
-    (RHOMBIC, _dependent_basis)])
+    (RHOMBIC, _dependent_basis), (SQUARE, _add_spurious_pair)])
 def test_verifier_names_each_forged_invariant(rows, forge):
     bad, message = forge(certify_second_voronoi(normal_set(rows)))
     audit = verify_certificate(bad)

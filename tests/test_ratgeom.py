@@ -161,6 +161,16 @@ def test_width_is_part_of_a_matrix_without_rows():
     assert hash(narrow) == hash(RatMatrix([], cols=3))
 
 
+def test_a_matrix_without_rows_needs_a_non_negative_int_width():
+    with pytest.raises(ValueError, match="negative column count -2"):
+        RatMatrix([], cols=-2)
+    with pytest.raises(TypeError, match="expected int, got bool"):
+        RatMatrix.from_rows([], cols=True)
+    with pytest.raises(TypeError, match="expected int, got float"):
+        RatMatrix([], cols=2.0)
+    assert RatMatrix([], cols=0).cols == 0
+
+
 def test_transpose_and_scale_keep_the_width():
     m = RatMatrix([[], []])
     assert (m.rows, m.cols) == (2, 0)
