@@ -583,8 +583,9 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
             if sum(map(abs, products)) != lam.dot(image):
                 bad.append(f"facet vector {lam.entries} does not bisect a "
                            "supporting plane")
-            elif rank(RatMatrix.from_rows(
-                    [g for g, p in zip(gens, products) if p == 0], cols=d)) != d - 1:
+                continue
+            on_facet = [g for g, p in zip(gens, products) if p == 0]
+            if rank(RatMatrix.from_rows(on_facet, cols=d)) != d - 1:
                 bad.append(f"facet vector {lam.entries} bisects no facet")
     except ZonocertError as err:
         bad.append(f"quadratic form rejected: {err}")

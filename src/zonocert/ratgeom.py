@@ -159,8 +159,8 @@ def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
 
 def _width(rows: Sequence[Sequence], cols: int | None) -> int:
     """The column count of a matrix with these rows: all rows share one
-    length, a given ``cols`` must equal it, and no rows need ``cols``, a
-    non-negative int."""
+    length, a given ``cols`` must equal it, and a matrix with no rows
+    needs ``cols``, a non-negative int."""
     if not rows:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
