@@ -164,29 +164,25 @@ def _decimal_str(x: Fraction, digits: int) -> str:
 
 # ---------------------------------------------------------------------------
 # cyclic ordering of planar points, exact
+#
+# The points ordered are vertices_oracle vertices: the signed sums that the
+# exact phase-1 LP puts outside the hull of the others, for every d <= 3.
+# They are taken relative to the cell or facet centre, which is never one of
+# them, so _angle_key never sees the origin.
 
 
-def _quadrant(p: tuple[Fraction, Fraction]) -> int:
+def _angle_key(p: tuple[Fraction, Fraction]) -> tuple[int, Fraction]:
+    """Sort key of a nonzero planar point by its counterclockwise angle from
+    the positive x axis: the quarter turn that holds it, then a ratio that
+    grows with the angle inside that quarter turn.  Points on one ray tie."""
     x, y = p
     if x > 0 and y >= 0:
-        return 0
+        return 0, y / x
     if x <= 0 and y > 0:
-        return 1
+        return 1, -x / y
     if x < 0 and y <= 0:
-        return 2
-    return 3
-
-
-def _angular_cmp(p, q) -> int:
-    qp, qq = _quadrant(p), _quadrant(q)
-    if qp != qq:
-        return -1 if qp < qq else 1
-    cross = p[0] * q[1] - p[1] * q[0]
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-
-def _cyclic_order(points: list[tuple[Fraction, Fraction]]):
-    return sorted(points, key=functools.cmp_to_key(_angular_cmp))
+        return 2, y / x
+    return 3, -x / y
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
 def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
                   digits: int) -> str:
     offsets = _patch_offsets(ns, z, patch_radius, "svg", 2)
-    polygon = _cyclic_order([v.entries for v in vertices_oracle(z)])
+    polygon = sorted((v.entries for v in vertices_oracle(z)), key=_angle_key)
     arrows: list[tuple[Fraction, Fraction]] = []
     if ns is not None:
         for lam in facet_vectors(ns).vectors:
@@ -295,7 +291,7 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
             for v in on_facet:
                 rel = v - center
                 planar[k1.dot(rel), k2.dot(rel)] = index[v.entries]
-            polygons.append([planar[p] for p in _cyclic_order(list(planar))])
+            polygons.append([planar[p] for p in sorted(planar, key=_angle_key)])
     return verts, polygons
 
 

@@ -83,6 +83,9 @@ class EdgeSet:
                            tuple(tuple(map(_as_index, p)) for p in provenance))
         if len(self.edges) != len(self.provenance):
             raise ValueError("one provenance subset per edge required")
+        for k, e in enumerate(self.edges):
+            if e.is_zero():
+                raise ValueError(f"edge {k} is zero")
         pair = first_parallel_pair(self.edges)
         if pair is not None:
             raise ValueError("edges {} and {} are parallel".format(*pair))

@@ -153,11 +153,18 @@ def edge_set_to_json(es: EdgeSet) -> dict:
 def parse_edge_set(doc, location: str = "$") -> EdgeSet:
     doc, dim = _header(doc, location)
     edges = _vectors(doc, "edges", location, dim)
-    prov_raw = _expect_list(_field(doc, "provenance", location),
-                            f"{location}.provenance")
-    provenance = [_parse_indices(sub, f"{location}.provenance[{k}]")
+    prov_loc = f"{location}.provenance"
+    prov_raw = _expect_list(_field(doc, "provenance", location), prov_loc)
+    provenance = [_parse_indices(sub, f"{prov_loc}[{k}]")
                   for k, sub in enumerate(prov_raw)]
-    return EdgeSet(dim, edges, provenance)
+    if len(provenance) != len(edges):
+        raise SchemaError(prov_loc, f"expected {len(edges)} subsets, one per "
+                                    f"edge, got {len(provenance)}")
+    try:
+        return EdgeSet(dim, edges, provenance)
+    except ValueError as err:
+        # a zero edge or two parallel edges
+        raise SchemaError(f"{location}.edges", str(err)) from None
 
 
 def zonotope_to_json(z: Zonotope) -> dict:

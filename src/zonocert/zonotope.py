@@ -3,8 +3,9 @@
 A zonotope here is the set of sums sum t_i v_i with t_i in [-1/2, 1/2],
 so it is centrally symmetric about the origin by construction.  Facet
 normals come from rank d-1 generator subsets; the independent cross-check
-``vertices_oracle`` builds the same body as a plain convex hull of the
-2^n signed generator sums, using no zonotope combinatorics at all.
+``vertices_oracle`` keeps each of the 2^n signed generator sums that an
+exact phase-1 LP puts outside the hull of the others, the same rule for
+every d <= 3, using no zonotope combinatorics at all.
 """
 
 from __future__ import annotations
@@ -166,28 +167,6 @@ def support_value(z: Zonotope, direction: RatVector) -> Fraction:
 # independent hull oracle
 
 
-def _cross2(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull2d(points: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Vertices of the 2d convex hull, monotone chain with strict turns."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[tuple[Fraction, ...]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[Fraction, ...]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def _in_convex_hull(p: tuple[Fraction, ...],
                     pts: list[tuple[Fraction, ...]]) -> bool:
     """Exact membership of p in conv(pts) via a phase-1 simplex.
@@ -228,25 +207,19 @@ def _in_convex_hull(p: tuple[Fraction, ...],
 
 
 def _extreme_points(points: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Extreme points of a 3d point set by exact hull membership tests."""
+    """Sorted distinct points that lie outside the hull of the others."""
     pts = sorted(set(points))
-    working: list[tuple[Fraction, ...]] = []
-    for p in pts:
-        if not _in_convex_hull(p, working):
-            working.append(p)
-    final = []
-    for i, p in enumerate(working):
-        if not _in_convex_hull(p, working[:i] + working[i + 1:]):
-            final.append(p)
-    return final
+    return [p for i, p in enumerate(pts)
+            if not _in_convex_hull(p, pts[:i] + pts[i + 1:])]
 
 
 def vertices_oracle(z: Zonotope) -> tuple[RatVector, ...]:
     """Vertex set by brute force, independent of facet combinatorics.
 
-    Enumerates all 2^n signed sums (1/2) sum +-v_i and keeps the extreme
-    points of that cloud.  Exponential in the generator count; usable for
-    dimension at most 3 at desk scale.
+    Enumerates all 2^n signed sums (1/2) sum +-v_i and keeps, in sorted
+    order, each sum that the exact phase-1 LP of ``_in_convex_hull`` puts
+    outside the hull of the other sums.  Exponential in the generator
+    count; usable for dimension at most 3 at desk scale.
     """
     d = z.dimension
     if d > 3:
@@ -259,14 +232,7 @@ def vertices_oracle(z: Zonotope) -> tuple[RatVector, ...]:
             nxt.append(tuple(a + b for a, b in zip(s, half)))
             nxt.append(tuple(a - b for a, b in zip(s, half)))
         sums = nxt
-    if d == 1:
-        pts = sorted(set(sums))
-        extreme = [pts[0], pts[-1]]
-    elif d == 2:
-        extreme = _hull2d(sums)
-    else:
-        extreme = _extreme_points(sums)
-    return tuple(RatVector(p) for p in sorted(set(extreme)))
+    return tuple(RatVector(p) for p in _extreme_points(sums))
 
 
 def hull_facet_planes(points: list[RatVector]) -> tuple[tuple[RatVector, Fraction], ...]:

@@ -327,6 +327,35 @@ def test_export_svg_patch(run, tmp_path):
     assert out.count("<line") == 6
 
 
+def corpus_normal_set(tmp_path, name):
+    with open(bundled_corpus_path(), encoding="utf-8") as fh:
+        entry = next(e for e in json.load(fh) if e["name"] == name)
+    return write_doc(tmp_path, f"{name}.json", entry["normal_set"])
+
+
+def test_export_svg_polygon_is_pinned(run, tmp_path):
+    # the vertices in their cyclic order, not only their count
+    src = corpus_normal_set(tmp_path, "hexagonal-weighted")
+    code, out, _ = run("export", "--format", "svg", src)
+    assert code == 0
+    polygons = [l.strip() for l in out.splitlines() if "<polygon" in l]
+    assert polygons == [
+        '<polygon points="0.227272727273,-0.363636363636'
+        ' -0.227272727273,-0.636363636364 -0.772727272727,-0.363636363636'
+        ' -0.227272727273,0.363636363636 0.227272727273,0.636363636364'
+        ' 0.772727272727,0.363636363636"/>']
+
+
+def test_export_obj_faces_are_pinned(run, tmp_path):
+    src = corpus_normal_set(tmp_path, "rhombic-dodecahedral")
+    code, out, _ = run("export", "--format", "obj", src)
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("f ")] == [
+        "f 4 6 12 10", "f 5 3 9 11", "f 7 4 10 13", "f 2 5 11 8",
+        "f 13 9 3 7", "f 12 6 2 8", "f 10 12 14 13", "f 1 3 5 2",
+        "f 13 14 11 9", "f 4 1 2 6", "f 12 8 11 14", "f 4 7 3 1"]
+
+
 def test_render_digits_env_var(run, tmp_path, monkeypatch):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
     monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", "3")

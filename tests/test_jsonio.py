@@ -222,6 +222,37 @@ def test_certificate_refuses_non_integer_basis_indices():
     assert info.value.location == "$.basis_indices"
 
 
+def _break_edge_set(doc, fault):
+    if fault == "zero":
+        doc["edges"][1] = ["0"] * doc["dim"]
+    elif fault == "parallel":
+        doc["edges"][1] = list(doc["edges"][0])
+    else:
+        del doc["provenance"][-1]
+
+
+EDGE_SET_FAULTS = [
+    ("zero", "edges", "edge 1 is zero"),
+    ("parallel", "edges", "edges 0 and 1 are parallel"),
+    ("count", "provenance", "expected 3 subsets, one per edge, got 2"),
+]
+
+
+@pytest.mark.parametrize("fault, key, message", EDGE_SET_FAULTS)
+def test_edge_set_faults_are_schema_errors(fault, key, message):
+    doc = jsonio.edge_set_to_json(compute_edge_set(normal_set(HEXAGONAL)))
+    _break_edge_set(doc, fault)
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_edge_set(doc)
+    assert info.value.location == f"$.{key}"
+    assert str(info.value) == f"$.{key}: {message}"
+    cert = hexagonal_certificate_doc()
+    _break_edge_set(cert["edge_set"], fault)
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(cert)
+    assert info.value.location == f"$.edge_set.{key}"
+
+
 # ---------------------------------------------------------------------------
 # payload detection
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (Zonotope, facets, hull_facet_planes,
-                      ridge_classification, support_value, venkov_check,
-                      vertices_oracle)
+from zonocert import (RatMatrix, RatVector, Zonotope, facets,
+                      hull_facet_planes, rank, ridge_classification,
+                      support_value, venkov_check, vertices_oracle)
 from zonocert.errors import (DimensionTooLarge, DimensionTooSmall,
                              InvalidZonotope, SpanDeficient, ZeroDirection)
 from zonocert.zonotope import (HEXAGON, OTHER, PARALLELOGRAM, _extreme_points,
-                               _hull2d, _in_convex_hull)
+                               _in_convex_hull)
 
 from conftest import vec, zono
 
@@ -240,12 +240,51 @@ def clouds(draw, d):
     return pts
 
 
+def _cross2(o, a, b) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def monotone_chain(points):
+    """Vertices of the 2d convex hull, monotone chain with strict turns."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 @settings(max_examples=60)
 @given(clouds(1), clouds(2))
 def test_hull_membership_finds_the_same_extreme_points(line, plane):
     # the monotone chain shares no arithmetic with the simplex
     assert set(_extreme_points(line)) == {min(line), max(line)}
-    assert set(_extreme_points(plane)) == set(_hull2d(plane))
+    assert set(_extreme_points(plane)) == set(monotone_chain(plane))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds(3))
+def test_extreme_points_in_space_are_where_three_hull_planes_meet(pts):
+    # repeats, points inside and points on segments are all refused
+    vectors = [RatVector(p) for p in pts]
+    assume(rank(RatMatrix.from_rows([v - vectors[0] for v in vectors],
+                                    cols=3)) == 3)
+    planes = hull_facet_planes(vectors)
+
+    def is_vertex(v):
+        normals = [n for n, h in planes if n.dot(v) == h]
+        return rank(RatMatrix.from_rows(normals, cols=3)) == 3
+
+    assert _extreme_points(pts) == sorted(
+        p for p in set(pts) if is_vertex(RatVector(p)))
 
 
 @settings(max_examples=60)
