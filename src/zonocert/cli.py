@@ -165,10 +165,11 @@ def _decimal_str(x: Fraction, digits: int) -> str:
 # ---------------------------------------------------------------------------
 # cyclic ordering of planar points, exact
 #
-# The points ordered are vertices_oracle vertices: the signed sums that the
-# exact phase-1 LP puts outside the hull of the others, for every d <= 3.
-# They are taken relative to the cell or facet centre, which is never one of
-# them, so _angle_key never sees the origin.
+# The SVG polygon orders the vertices_oracle vertices of a 2-d cell: the
+# signed sums that the exact phase-1 LP puts outside the hull of the others.
+# Each OBJ face orders the vertices of a facet zonogon (_zonogon_corners).
+# Points are taken relative to the cell or facet centre, which is never one
+# of them, so _angle_key never sees the origin.
 
 
 def _angle_key(p: tuple[Fraction, Fraction]) -> tuple[int, Fraction]:
@@ -272,27 +273,56 @@ def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
 # OBJ (d = 3)
 
 
+def _zonogon_corners(plane: list[RatVector], k1: RatVector,
+                     k2: RatVector) -> list[RatVector]:
+    """Vertices, relative to its centre, of the zonogon of the generators in
+    ``plane``, a plane with basis k1, k2 (Ziegler, Lectures on Polytopes,
+    Lecture 7).
+
+    The two zonogon edges parallel to g_j run from +-u_j/2 - g_j/2 to
+    +-u_j/2 + g_j/2, where u_j sums the other generators, each signed by
+    the side of g_j it lies on; their end points are the 2|plane| vertices.
+    """
+    half = Fraction(1, 2)
+    images = [(k1.dot(g), k2.dot(g)) for g in plane]
+    corners = {}
+    for g, (x, y) in zip(plane, images):
+        u = sum((h if x * b > y * a else -h
+                 for h, (a, b) in zip(plane, images) if h is not g),
+                zero_vector(3))
+        for rel in (u + g, u - g, g - u, -u - g):
+            rel = rel.scale(half)
+            corners[rel.entries] = rel
+    return list(corners.values())
+
+
 def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
-    """Vertices and facet polygons, each polygon ordered around its center
-    counterclockwise as seen from outside."""
-    verts = list(vertices_oracle(z))
-    index = {v.entries: k for k, v in enumerate(verts)}
-    polygons: list[list[int]] = []
+    """Sorted vertices and the facet polygons, one per facet in the order of
+    ``facets`` with the facet before its opposite, each ordered around its
+    center counterclockwise as seen from outside.
+
+    A facet is its center plus the zonogon of the generators in its plane,
+    and its opposite is the same zonogon about the opposite center.  Every
+    vertex of the cell lies on a facet, so no hull is computed.
+    """
+    sides: list[dict[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
     for f in facets(z):
+        corners: list[RatVector] = []
         for sign in (1, -1):
             normal = f.normal.scale(sign)
             center = f.center.scale(sign)
-            support = f.support
-            on_facet = [v for v in verts if normal.dot(v) == support]
             k1, k2 = kernel_basis(RatMatrix.from_rows([normal], cols=3))
             if det(RatMatrix.from_rows([k1, k2, normal])) < 0:
                 k1, k2 = k2, k1
-            planar = {}
-            for v in on_facet:
-                rel = v - center
-                planar[k1.dot(rel), k2.dot(rel)] = index[v.entries]
-            polygons.append([planar[p] for p in sorted(planar, key=_angle_key)])
-    return verts, polygons
+            corners = corners or _zonogon_corners(
+                [z.generators[i] for i in f.generator_subset], k1, k2)
+            sides.append({(k1.dot(r), k2.dot(r)): (center + r).entries
+                          for r in corners})
+    verts = sorted({v for planar in sides for v in planar.values()})
+    index = {v: k for k, v in enumerate(verts)}
+    polygons = [[index[planar[p]] for p in sorted(planar, key=_angle_key)]
+                for planar in sides]
+    return [RatVector(v) for v in verts], polygons
 
 
 def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,

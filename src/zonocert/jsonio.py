@@ -157,6 +157,12 @@ def parse_edge_set(doc, location: str = "$") -> EdgeSet:
     prov_raw = _expect_list(_field(doc, "provenance", location), prov_loc)
     provenance = [_parse_indices(sub, f"{prov_loc}[{k}]")
                   for k, sub in enumerate(prov_raw)]
+    for k, sub in enumerate(provenance):
+        if len(sub) != dim - 1 or min(sub, default=0) < 0 or \
+                list(sub) != sorted(set(sub)):
+            raise SchemaError(f"{prov_loc}[{k}]",
+                              f"expected {dim - 1} strictly increasing "
+                              "non-negative indices")
     if len(provenance) != len(edges):
         raise SchemaError(prov_loc, f"expected {len(edges)} subsets, one per "
                                     f"edge, got {len(provenance)}")

@@ -567,6 +567,18 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
             if p not in (-1, 0, 1):
                 bad.append(f"edge {e.entries} pairs {p} with a normal")
                 break
+    # each edge spans the kernel line of its provenance: d-1 independent
+    # normals, all orthogonal to it
+    for k, (e, sub) in enumerate(zip(es.edges, es.provenance)):
+        if any(not 0 <= i < len(ns.normals) for i in sub):
+            bad.append(f"provenance {sub} of edge {k} names no normal")
+        elif any(ns.normals[i].dot(e) != 0 for i in sub):
+            bad.append(f"provenance {sub} of edge {k} holds a normal "
+                       "that pairs nonzero with it")
+        elif len(sub) != d - 1 or rank(RatMatrix.from_rows(
+                [ns.normals[i] for i in sub], cols=d)) != d - 1:
+            bad.append(f"provenance {sub} of edge {k} does not have "
+                       f"rank {d - 1}")
 
     try:
         q = quadratic_form(ns)

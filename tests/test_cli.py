@@ -15,10 +15,11 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import cli, jsonio
+from zonocert import (RatVector, Zonotope, ZonocertError, cli, dv_zonotope,
+                      facets, jsonio, vertices_oracle)
 from zonocert.cli import bundled_corpus_path, main
 
 HEX_DOC = {
@@ -354,6 +355,85 @@ def test_export_obj_faces_are_pinned(run, tmp_path):
         "f 4 6 12 10", "f 5 3 9 11", "f 7 4 10 13", "f 2 5 11 8",
         "f 13 9 3 7", "f 12 6 2 8", "f 10 12 14 13", "f 1 3 5 2",
         "f 13 14 11 9", "f 4 1 2 6", "f 12 8 11 14", "f 4 7 3 1"]
+
+
+OCTAGONAL_PRISM_DOC = {
+    "schema": "v1",
+    "dim": 3,
+    "generators": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"],
+                   ["1", "-1", "0"], ["0", "0", "1"]],
+}
+
+
+def test_export_obj_octagonal_faces_are_pinned(run, tmp_path):
+    # each octagon holds 4 generators; no other pinned face holds more than 3
+    src = write_doc(tmp_path, "prism.json", OCTAGONAL_PRISM_DOC)
+    code, out, _ = run("export", "--format", "obj", src)
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(l.startswith("v ") for l in lines) == 16
+    assert [l for l in lines if l.startswith("f ")] == [
+        "f 16 12 8 4 2 6 10 14", "f 11 15 13 9 5 1 3 7", "f 12 11 7 8",
+        "f 10 6 5 9", "f 16 14 13 15", "f 4 3 1 2", "f 14 10 9 13",
+        "f 8 7 3 4", "f 12 16 15 11", "f 2 1 5 6"]
+
+
+def _cross(a, b):
+    return RatVector((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                      a[0] * b[1] - a[1] * b[0]))
+
+
+def assert_faces_match_the_vertex_oracle(z):
+    """The OBJ faces against the hull oracle: the same vertices, each face
+    the oracle vertices on its facet plane, turning counterclockwise about
+    the outward normal."""
+    verts, polygons = cli._facet_polygons(z)
+    oracle = vertices_oracle(z)
+    assert [v.entries for v in verts] == [v.entries for v in oracle]
+    sides = [(f.normal.scale(s), f.support) for f in facets(z) for s in (1, -1)]
+    assert len(polygons) == len(sides)
+    for poly, (normal, support) in zip(polygons, sides):
+        assert len(set(poly)) == len(poly)
+        assert {verts[i].entries for i in poly} == \
+            {v.entries for v in oracle if normal.dot(v) == support}
+        corners = [verts[i] for i in poly]
+        for a, b, c in zip(corners, corners[1:] + corners[:1],
+                           corners[2:] + corners[:2]):
+            assert normal.dot(_cross(b - a, c - b)) > 0
+
+
+def _dicing_cells():
+    with open(bundled_corpus_path(), encoding="utf-8") as fh:
+        cells = [(e["name"], e["normal_set"]) for e in json.load(fh)
+                 if e["normal_set"]["dim"] == 3 and "error" not in e["expected"]]
+    k4 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "-1", "0"],
+          ["1", "0", "-1"], ["0", "1", "-1"]]
+    return cells + [("graphic-K4", {"dim": 3, "normals": k4,
+                                    "weights": ["1"] * 6})]
+
+
+@pytest.mark.parametrize("doc", [pytest.param(d, id=n)
+                                 for n, d in _dicing_cells()])
+def test_obj_faces_of_dicing_cells_match_the_vertex_oracle(doc):
+    assert_faces_match_the_vertex_oracle(
+        dv_zonotope(jsonio.parse_normal_set(doc)))
+
+
+small_rows = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rows, min_size=3, max_size=7), st.booleans(),
+       st.integers(-2, 2), st.integers(-2, 2))
+def test_obj_faces_of_random_zonotopes_match_the_vertex_oracle(rows, coplanar,
+                                                               a, b):
+    if coplanar:
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    try:
+        z = Zonotope(3, [RatVector(map(Fraction, r)) for r in rows if any(r)])
+    except ZonocertError:
+        assume(False)
+    assert_faces_match_the_vertex_oracle(z)
 
 
 def test_render_digits_env_var(run, tmp_path, monkeypatch):

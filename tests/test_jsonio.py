@@ -253,6 +253,25 @@ def test_edge_set_faults_are_schema_errors(fault, key, message):
     assert info.value.location == f"$.edge_set.{key}"
 
 
+@pytest.mark.parametrize("rows, subsets", [
+    (HEXAGONAL, {0: [-5], 1: [7, 7, 7], 2: [0]}), (HEXAGONAL, {1: [1, 2]}),
+    (HEXAGONAL, {2: []}), (RHOMBIC, {0: [1, 0]}), (RHOMBIC, {3: [2, 2]})])
+def test_edge_set_provenance_is_d_minus_1_increasing_indices(rows, subsets):
+    doc = jsonio.edge_set_to_json(compute_edge_set(normal_set(rows)))
+    cert = jsonio.certificate_to_json(
+        certify_second_voronoi(normal_set(rows)), verified=True)
+    for k, subset in subsets.items():
+        doc["provenance"][k] = cert["edge_set"]["provenance"][k] = subset
+    k, d = min(subsets), doc["dim"]
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_edge_set(doc)
+    assert str(info.value) == (f"$.provenance[{k}]: expected {d - 1} strictly "
+                               "increasing non-negative indices")
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(cert)
+    assert info.value.location == f"$.edge_set.provenance[{k}]"
+
+
 # ---------------------------------------------------------------------------
 # payload detection
 

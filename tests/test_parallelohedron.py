@@ -868,16 +868,51 @@ def _dependent_basis(cert):
             "stored basis vectors are linearly dependent")
 
 
+def _with_provenance(cert, provenance):
+    edge_set = dataclasses.replace(cert.edge_set, provenance=provenance)
+    return dataclasses.replace(cert, edge_set=edge_set)
+
+
+def _forge_provenance(cert):
+    # no normal has index -5 or 7, and edge 2 does not lie on normal 0
+    return (_with_provenance(cert, ((-5,), (7, 7, 7), (0,))),
+            "provenance (-5,) of edge 0 names no normal")
+
+
+def _swap_provenance(cert):
+    first, second, *rest = cert.edge_set.provenance
+    return (_with_provenance(cert, (second, first, *rest)),
+            f"provenance {second} of edge 0 holds a normal that pairs "
+            "nonzero with it")
+
+
+def _repeat_provenance_index(cert):
+    (i, _), *rest = cert.edge_set.provenance
+    return (_with_provenance(cert, ((i, i), *rest)),
+            f"provenance {(i, i)} of edge 0 does not have rank 2")
+
+
 @pytest.mark.parametrize("rows, forge", [
     (HEXAGONAL, _drop_facet_vector), (HEXAGONAL, _drop_matched_pair),
     (HEXAGONAL, _double_edge), (HEXAGONAL, _double_lattice),
     (HEXAGONAL, _halve_facet_vector), (HEXAGONAL, _repeat_basis_index),
-    (RHOMBIC, _dependent_basis), (SQUARE, _add_spurious_pair)])
+    (RHOMBIC, _dependent_basis), (SQUARE, _add_spurious_pair),
+    (HEXAGONAL, _forge_provenance), (HEXAGONAL, _swap_provenance),
+    (RHOMBIC, _repeat_provenance_index)])
 def test_verifier_names_each_forged_invariant(rows, forge):
     bad, message = forge(certify_second_voronoi(normal_set(rows)))
     audit = verify_certificate(bad)
     assert not audit.ok
     assert message in audit.failures
+
+
+def test_verifier_names_every_edge_with_a_forged_provenance():
+    bad, _ = _forge_provenance(certify_second_voronoi(normal_set(HEXAGONAL)))
+    assert [f for f in verify_certificate(bad).failures
+            if f.startswith("provenance")] == [
+        "provenance (-5,) of edge 0 names no normal",
+        "provenance (7, 7, 7) of edge 1 names no normal",
+        "provenance (0,) of edge 2 holds a normal that pairs nonzero with it"]
 
 
 # ---------------------------------------------------------------------------
