@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage or IO error (including schema violations),
 2 domain error; domain errors are written as JSON payloads so batch
 drivers can triage.  Rendering converts exact rationals to decimals only
-at emission, with ZONOCERT_RENDER_DIGITS significant digits (default 12,
-at most 1000).
+at emission, rounded half to even at ZONOCERT_RENDER_DIGITS significant
+digits (default 12, at most 1000), whatever decimal context the calling
+program has set.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def _load_cell(doc) -> tuple[NormalSet | None, Zonotope]:
 # decimal emission
 
 
-def _render_digits() -> int:
+def _render_context() -> decimal.Context:
+    """The decimal context of one export, whatever the caller's context:
+    ZONOCERT_RENDER_DIGITS significant digits, rounded half to even."""
     raw = os.environ.get("ZONOCERT_RENDER_DIGITS", "12")
     try:
         digits = int(raw)
@@ -151,15 +154,12 @@ def _render_digits() -> int:
     if digits > _MAX_RENDER_DIGITS:
         raise _UsageError(
             f"ZONOCERT_RENDER_DIGITS must be at most {_MAX_RENDER_DIGITS}")
-    return digits
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
 
 
-def _decimal_str(x: Fraction, digits: int) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        value = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    text = str(value)
-    return "0" if text in ("-0", "0") else text
+def _decimal_str(x: Fraction, ctx: decimal.Context) -> str:
+    """x rounded in ctx: its numerator divided by its denominator."""
+    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +191,9 @@ def _angle_key(p: tuple[Fraction, Fraction]) -> tuple[int, Fraction]:
 
 
 def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
-                   fmt: str, dim: int) -> list[RatVector]:
-    """Sorted translates of the cell drawn by an export: the lattice points
-    with coordinates in [-r, r] in the lattice basis, or the origin alone."""
+                   fmt: str, dim: int) -> list[tuple[Fraction, ...]]:
+    """Sorted entry tuples of the translates an export draws: the lattice
+    points with coordinates in [-r, r] in the lattice basis, or the origin."""
     if z.dimension != dim:
         raise DimensionMismatch(f"{fmt} export needs a {dim}-dimensional cell")
     if patch_radius < 0:
@@ -208,11 +208,11 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
             f"patch radius must be at most {largest} in {dim} dimensions "
             f"(at most {_MAX_PATCH_TRANSLATES} translates)")
     if patch_radius == 0:
-        return [zero_vector(dim)]
+        return [zero_vector(dim).entries]
     basis = lattice_of_dicing(ns).basis
     span = range(-patch_radius, patch_radius + 1)
-    offsets = [basis @ RatVector(c) for c in itertools.product(span, repeat=dim)]
-    return sorted(offsets, key=lambda v: v.entries)
+    return sorted((basis @ RatVector(c)).entries
+                  for c in itertools.product(span, repeat=dim))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
 
 
 def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
-                  digits: int) -> str:
+                  ctx: decimal.Context) -> str:
     offsets = _patch_offsets(ns, z, patch_radius, "svg", 2)
     polygon = sorted((v.entries for v in vertices_oracle(z)), key=_angle_key)
     arrows: list[tuple[Fraction, Fraction]] = []
@@ -239,7 +239,7 @@ def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
     width = max(xs) - min(xs) + 2 * margin
     height = max(ys) - min(ys) + 2 * margin
 
-    dec = lambda v: _decimal_str(v, digits)
+    dec = lambda v: _decimal_str(v, ctx)
     stroke = dec(span / 200)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -303,20 +303,19 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
 
     A facet is its center plus the zonogon of the generators in its plane,
     and its opposite is the same zonogon about the opposite center.  Every
-    vertex of the cell lies on a facet, so no hull is computed.
+    vertex of the cell lies on a facet, so no hull is computed.  One plane
+    basis serves a facet pair: (k1, k2, n) is positively oriented, and the
+    opposite facet takes (k2, k1), as -n has the same kernel as n.
     """
     sides: list[dict[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
     for f in facets(z):
-        corners: list[RatVector] = []
-        for sign in (1, -1):
-            normal = f.normal.scale(sign)
-            center = f.center.scale(sign)
-            k1, k2 = kernel_basis(RatMatrix.from_rows([normal], cols=3))
-            if det(RatMatrix.from_rows([k1, k2, normal])) < 0:
-                k1, k2 = k2, k1
-            corners = corners or _zonogon_corners(
-                [z.generators[i] for i in f.generator_subset], k1, k2)
-            sides.append({(k1.dot(r), k2.dot(r)): (center + r).entries
+        k1, k2 = kernel_basis(RatMatrix.from_rows([f.normal], cols=3))
+        if det(RatMatrix.from_rows([k1, k2, f.normal])) < 0:
+            k1, k2 = k2, k1
+        corners = _zonogon_corners(
+            [z.generators[i] for i in f.generator_subset], k1, k2)
+        for center, a, b in ((f.center, k1, k2), (-f.center, k2, k1)):
+            sides.append({(a.dot(r), b.dot(r)): (center + r).entries
                           for r in corners})
     verts = sorted({v for planar in sides for v in planar.values()})
     index = {v: k for k, v in enumerate(verts)}
@@ -326,16 +325,15 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
 
 
 def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
-                  digits: int) -> str:
+                  ctx: decimal.Context) -> str:
     offsets = _patch_offsets(ns, z, patch_radius, "obj", 3)
     verts, polygons = _facet_polygons(z)
 
-    dec = lambda v: _decimal_str(v, digits)
+    dec = lambda v: _decimal_str(v, ctx)
     lines = ["# zonocert DV cell export"]
     for off in offsets:
         for v in verts:
-            p = v + off
-            lines.append(f"v {dec(p[0])} {dec(p[1])} {dec(p[2])}")
+            lines.append("v " + " ".join(dec(a + b) for a, b in zip(v, off)))
     block = len(verts)
     for b, _ in enumerate(offsets):
         for poly in polygons:
@@ -427,10 +425,10 @@ def _verb_certify(args) -> tuple[int, str]:
 
 def _verb_export(args) -> tuple[int, str]:
     ns, z = _load_cell(_read_input(args.input))
-    digits = _render_digits()
+    ctx = _render_context()
     if args.format == "svg":
-        return 0, _svg_document(ns, z, args.patch_radius, digits)
-    return 0, _obj_document(ns, z, args.patch_radius, digits)
+        return 0, _svg_document(ns, z, args.patch_radius, ctx)
+    return 0, _obj_document(ns, z, args.patch_radius, ctx)
 
 
 def bundled_corpus_path() -> str:

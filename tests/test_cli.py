@@ -6,6 +6,7 @@ test exercises the installed console script through a real subprocess.
 """
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -95,10 +96,11 @@ def test_certify_output_file_matches_stdout(run, tmp_path):
     assert stdout_text.endswith("\n")
 
 
-def test_non_dicing_exit_code_and_witness(run, tmp_path):
+@pytest.mark.parametrize("verb", ["edges", "certify"])
+def test_non_dicing_exit_code_and_witness(run, tmp_path, verb):
     src = write_doc(tmp_path, "bad.json", NON_DICING_DOC)
     out_path = tmp_path / "report.json"
-    code, out, err = run("edges", src, "-o", str(out_path))
+    code, out, err = run(verb, src, "-o", str(out_path))
     assert code == 2
     assert out == ""
     assert "zonocert:" in err
@@ -107,6 +109,8 @@ def test_non_dicing_exit_code_and_witness(run, tmp_path):
     assert payload["witness"]["subset"] == [0]
     assert payload["witness"]["kernel"] == ["0", "1"]
     assert payload["witness"]["products"] == ["0", "1", "2"]
+    # certify names the pipeline stage that refused the input
+    assert payload.get("stage") == (None if verb == "edges" else "edge-set")
 
 
 def test_unknown_verb_exits_one(run):
@@ -295,6 +299,12 @@ def test_dv_cell_multiplier_too_small_is_domain_error(run, tmp_path):
     assert code == 2
     assert json.loads(out)["error"] == "EnumerationInsufficient"
     assert "zonocert:" in err
+    # so is a normal set with fewer weights than normals
+    src = write_doc(tmp_path, "short.json", dict(HEX_DOC, weights=["1", "1"]))
+    code, out, err = run("certify", src)
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidNormalSet"
+    assert err == "zonocert: one weight per normal required\n"
 
 
 def test_stdin_input(run, monkeypatch):
@@ -436,6 +446,22 @@ def test_obj_faces_of_random_zonotopes_match_the_vertex_oracle(rows, coplanar,
     assert_faces_match_the_vertex_oracle(z)
 
 
+@pytest.mark.parametrize("fmt, doc", [
+    ("svg", dict(HEX_DOC, weights=["1", "3", "7"])),
+    ("obj", dict(RHOMBIC_DOC, weights=["1", "3", "7", "2"])),
+], ids=["svg", "obj"])
+def test_export_bytes_ignore_the_callers_decimal_context(run, tmp_path, fmt,
+                                                         doc):
+    src = write_doc(tmp_path, "doc.json", doc)
+    argv = ("export", "--format", fmt, "--patch-radius", "1", src)
+    plain = run(*argv)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.rounding = decimal.ROUND_FLOOR
+        assert run(*argv) == plain
+    assert plain[0] == 0
+
+
 def test_render_digits_env_var(run, tmp_path, monkeypatch):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
     monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", "3")
@@ -457,7 +483,7 @@ def test_render_digits_refuses_a_huge_precision_at_once(run, tmp_path,
                                                        monkeypatch):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
 
-    def render(x, digits):
+    def render(x, ctx):
         raise AssertionError("rendered a coordinate at a refused precision")
 
     monkeypatch.setattr(cli, "_decimal_str", render)
@@ -546,17 +572,22 @@ def test_corpus_explicit_path_matches_bundled(run):
     assert out.strip().splitlines()[-1] == "16 entries, 16 passed, 0 failed"
 
 
-def test_corpus_flags_wrong_expectation(run, tmp_path):
-    entry = {
-        "name": "hex wrong",
-        "normal_set": HEX_DOC,
-        "expected": {"edge_pairs": 3, "facet_pairs": 4, "det": "1"},
-    }
+@pytest.mark.parametrize("doc, expected, message", [
+    pytest.param(HEX_DOC, {"edge_pairs": 3, "facet_pairs": 4, "det": "1"},
+                 "expected 4 facet pairs, got 3", id="facet_pairs"),
+    pytest.param(HEX_DOC, {"edge_pairs": 4},
+                 "expected 4 edge pairs, got 3", id="edge_pairs"),
+    pytest.param(HEX_DOC, {"det": "-1"}, "expected det -1, got 1", id="det"),
+    pytest.param(NON_DICING_DOC, {}, "unexpected error NotADicing: ",
+                 id="unexpected_error"),
+])
+def test_corpus_flags_wrong_expectation(run, tmp_path, doc, expected, message):
+    entry = {"name": "wrong", "normal_set": doc, "expected": expected}
     src = write_doc(tmp_path, "corpus.json", [entry])
     code, out, _ = run("corpus", src)
     assert code == 2
     assert "FAIL" in out
-    assert "expected 4 facet pairs, got 3" in out
+    assert message in out
     assert out.strip().splitlines()[-1] == "1 entries, 0 passed, 1 failed"
 
 

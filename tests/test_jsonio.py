@@ -95,6 +95,10 @@ def test_certificate_verified_flag_round_trips_false():
     cert = certify_second_voronoi(normal_set(HEXAGONAL))
     doc = jsonio.certificate_to_json(cert, verified=False)
     assert jsonio.parse_certificate(doc)[1] is False
+    doc["verified"] = "yes"
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_certificate(doc)
+    assert str(info.value) == "$.verified: expected a boolean"
 
 
 def test_dumps_is_byte_deterministic():
@@ -130,6 +134,14 @@ def test_error_location_for_short_vector():
     with pytest.raises(SchemaError) as info:
         jsonio.parse_normal_set(doc)
     assert info.value.location == "$.normals[1]"
+    # a vector that is not a list at all, and a basis short of vectors
+    doc["normals"] = [5, ["0", "1"]]
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_normal_set(doc)
+    assert str(info.value) == "$.normals[0]: expected a list of rational strings"
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_lattice({"dim": 2, "basis": [["1", "0"]]})
+    assert str(info.value) == "$.basis: expected 2 basis vectors, got 1"
 
 
 def test_error_for_unknown_schema_version():

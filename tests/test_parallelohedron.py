@@ -143,6 +143,12 @@ def test_oracle_dimension_cap():
     ns = normal_set([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(DimensionTooLarge):
         dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
+    with open(bundled_corpus_path(), encoding="utf-8") as fh:
+        grid, = [e["normal_set"] for e in json.load(fh)
+                 if e["name"] == "standard-grid-4d"]
+    with pytest.raises(DimensionTooLarge,
+                       match="^duality check supports dimension at most 3$"):
+        delone_duality_check(parse_normal_set(grid))
 
 
 @pytest.mark.parametrize("rows", [SQUARE, HEXAGONAL, CHECKER,
