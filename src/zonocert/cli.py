@@ -1,11 +1,11 @@
 """Command line front end: JSON pipeline verbs, batch corpus runs, exports.
 
-Exit codes: 0 success, 1 usage or IO error (including schema violations),
-2 domain error; domain errors are written as JSON payloads so batch
-drivers can triage.  Rendering converts exact rationals to decimals only
-at emission, rounded half to even at ZONOCERT_RENDER_DIGITS significant
-digits (default 12, at most 1000), whatever decimal context the calling
-program has set.
+Exit codes: 0 success, 1 usage or IO error (schema violations and an
+unwritable stdout included), 2 domain error; domain errors are written as
+JSON payloads so batch drivers can triage.  dv-cell has no radius option.
+Rendering converts exact rationals to decimals only at emission, rounded
+half to even at ZONOCERT_RENDER_DIGITS significant digits (default 12, at
+most 1000), whatever decimal context the calling program has set.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from . import jsonio
 from .dicing import NormalSet, compute_edge_set
 from .errors import (CertificationError, DimensionMismatch, InternalFault,
                      SchemaError, ZonocertError)
-from .parallelohedron import (certify_second_voronoi, dv_cell_oracle,
-                              dv_zonotope, facet_vectors, lattice_of_dicing,
-                              quadratic_form, verify_certificate)
+from .parallelohedron import (RADIUS_MULTIPLIER, certify_second_voronoi,
+                              dv_cell_oracle, dv_zonotope, facet_vectors,
+                              lattice_of_dicing, quadratic_form, verify_certificate)
 from .ratgeom import RatMatrix, RatVector, det, kernel_basis, zero_vector
 from .zonotope import Zonotope, facets, venkov_check, vertices_oracle
 
@@ -55,12 +55,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", metavar="verb")
     sub.required = True
 
-    def add(name, help_text, run, payload=True):
+    def add(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        if payload:
-            p.add_argument("input", nargs="?", default="-",
-                           help="input JSON path, or - for stdin")
+        p.add_argument("input", nargs="?", default="-",
+                       help="input JSON path, or - for stdin")
         p.add_argument("-o", "--output", default="-",
                        help="output path, or - for stdout")
         return p
@@ -72,9 +71,7 @@ def _build_parser() -> _Parser:
         _verb_facets)
     add("venkov", "ridge-shape report for a zonotope or a dicing's DV cell",
         _verb_venkov)
-    p = add("dv-cell", "brute-force DV cell vertices of a dicing", _verb_dv_cell)
-    p.add_argument("--multiplier", default="4",
-                   help="enumeration radius multiplier, a positive rational")
+    add("dv-cell", "brute-force DV cell vertices of a dicing", _verb_dv_cell)
     add("certify", "full certificate for a dicing normal set", _verb_certify)
     p = add("export", "render a DV cell to SVG (d=2) or OBJ (d=3)", _verb_export)
     p.add_argument("--format", required=True, choices=("svg", "obj"))
@@ -110,14 +107,21 @@ def _read_input(path: str):
 
 
 def _write_output(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as err:
-            raise _UsageError(f"cannot write {path}: {err}")
+    except OSError as err:
+        try:  # let the flush at exit drop what stdout still buffers
+            if path == "-":
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+        except (AttributeError, ValueError, OSError):
+            pass  # an in-process stream without a descriptor
+        raise _UsageError(f"cannot write {path}: {err}")
 
 
 def _load_normal_set(doc) -> NormalSet:
@@ -398,15 +402,11 @@ def _verb_venkov(args) -> tuple[int, str]:
 
 def _verb_dv_cell(args) -> tuple[int, str]:
     ns = _load_normal_set(_read_input(args.input))
-    multiplier = jsonio.parse_rational(args.multiplier, "--multiplier")
-    if multiplier <= 0:
-        raise _UsageError("--multiplier must be positive")
-    lat = lattice_of_dicing(ns)
-    vertices = dv_cell_oracle(lat, quadratic_form(ns), multiplier)
+    vertices = dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
     doc = {
         "schema": jsonio.SCHEMA_VERSION,
         "dim": ns.dimension,
-        "multiplier": jsonio.rational_to_str(multiplier),
+        "multiplier": str(RADIUS_MULTIPLIER),
         "vertices": [jsonio.vector_to_json(v) for v in vertices],
     }
     return 0, jsonio.dumps(doc)
@@ -515,17 +515,20 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as err:
         return int(err.code or 0)
+    message = ""
     try:
-        code, text = args.run(args)
+        try:
+            code, text = args.run(args)
+        except SchemaError:
+            raise
+        except ZonocertError as err:
+            code, text, message = 2, jsonio.dumps(err.payload()), f"zonocert: {err}\n"
         _write_output(args.output, text)
-        return code
     except (_UsageError, SchemaError) as err:
         sys.stderr.write(f"zonocert: {err}\n")
         return 1
-    except ZonocertError as err:
-        _write_output(args.output, jsonio.dumps(err.payload()))
-        sys.stderr.write(f"zonocert: {err}\n")
-        return 2
+    sys.stderr.write(message)
+    return code
 
 
 def console_main():

@@ -23,13 +23,14 @@ from .errors import (BasisCheckFailed, CertificationError, DimensionMismatch,
                      DimensionTooLarge, DualityViolation, EnumerationInsufficient,
                      InternalFault, Mismatch, NotInLattice, NotPositiveDefinite,
                      ZonocertError)
-from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _as_rational,
-                      _bareiss, _common_cleared, _pivot, det,
-                      dual_lattice_basis, hnf_lattice_basis, inverse,
-                      lattice_contains, rank, same_lattice)
+from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _bareiss,
+                      _common_cleared, _pivot, det, dual_lattice_basis,
+                      hnf_lattice_basis, inverse, lattice_contains, rank,
+                      same_lattice)
 from .zonotope import FacetDescriptor, Zonotope, facets
 
 _HALF = Fraction(1, 2)
+RADIUS_MULTIPLIER = 4  # the cell oracle's enumeration radius, see _cell_data
 
 
 def _schur_blocks(g: list[list[int]]) -> list[tuple[int, list[list[int]]]]:
@@ -300,17 +301,16 @@ def _short_vectors(gram: list[list[int]], cap: int
     return found
 
 
-def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fraction
-               ) -> list[VertexDuality]:
+def _cell_data(lattice: LatticeBasis, q: QuadraticForm) -> list[VertexDuality]:
     """Cell vertices, each with its equidistant lattice points and phi(x).
 
-    Enumerates lattice vectors up to a radius, keeps the half-spaces of
+    Enumerates lattice vectors in a fixed ball, keeps the half-spaces of
     the relevant ones by Voronoi's parity rule, intersects them, and
     refuses to answer unless the result is provably complete: the
-    enumerated set must span, every vertex must be
-    equidistant to at least d+1 lattice points and to none closer, and
-    the enumeration radius must cover four times the largest vertex norm,
-    which by the Cauchy-Schwarz bound rules out any forgotten constraint.
+    enumerated set must span, every vertex must be equidistant to at
+    least d+1 lattice points and to none closer, and the ball must cover
+    four times the largest vertex norm (Babai's bound: it does in d <= 3),
+    which by Cauchy-Schwarz rules out any forgotten constraint.
     Vertices and their equidistant points (origin included) are sorted.
 
     All of it runs in integers.  The Gram matrix G = B^T Q B of the
@@ -328,16 +328,16 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
     if q.dimension != d:
         raise DimensionMismatch(
             f"form of dimension {q.dimension} on a lattice of dimension {d}")
-    if radius_multiplier <= 0:
-        raise ValueError("radius multiplier must be positive")
     b = lattice.basis
     s, gram = _common_cleared((b.transpose() @ (q.matrix @ b)).entries)
-    # Phi of the basis vectors and of their pairwise sums
+    # Phi of the basis vectors and of their pairwise sums.  By Babai's bound
+    # (Combinatorica 6, 1986) every vertex has 4s phi(x) <= s sum phi(b_i*)
+    # <= 3 max(norms) in d <= 3, so the 4 * peak guard below always holds.
     norms = [gram[i][i] for i in range(d)]
     norms += [gram[i][i] + 2 * gram[i][j] + gram[j][j]
               for i, j in itertools.combinations(range(d), 2)]
-    radius = radius_multiplier * Fraction(max(norms), s)
-    enumerated = _short_vectors(gram, math.floor(s * radius))
+    cap = RADIUS_MULTIPLIER * max(norms)
+    enumerated = _short_vectors(gram, cap)
 
     # Voronoi: c is relevant exactly when +-c are the only points of least
     # phi in c + 2 Lambda.  Such a nu != +-c gives c = a + b with a, b =
@@ -392,10 +392,9 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
 
     radii = [q.value(x) for x in vertices]
     peak = max(radii)
-    if 4 * peak > radius:
+    if 4 * s * peak > cap:
         raise EnumerationInsufficient(
-            "enumeration radius too small to certify the vertex set; "
-            "increase the radius multiplier")
+            "enumeration radius too small to certify the vertex set")
     # By Cauchy-Schwarz a lattice point with phi > 4*phi(x) is strictly
     # farther from any vertex x than the origin, so the 4*peak ball holds
     # every point that can tie or beat a vertex, and it is fully
@@ -416,26 +415,23 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm, radius_multiplier: Fract
         if len(equidistant) < d + 1:
             raise EnumerationInsufficient(
                 f"vertex {x.entries} is equidistant to only {len(equidistant)} "
-                "lattice points; increase the radius multiplier")
+                "lattice points")
         cells.append(VertexDuality(x, tuple(RatVector(Fraction(e, t) for e in p)
                                             for p in sorted(equidistant)), phi_x))
     cells.sort(key=lambda cell: cell.vertex.entries)
     return cells
 
 
-def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm,
-                   radius_multiplier: Fraction = Fraction(4)) -> tuple[RatVector, ...]:
+def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm) -> tuple[RatVector, ...]:
     """Vertices of the Dirichlet-Voronoi cell by half-space enumeration.
 
     Independent of zonotope combinatorics: works for any lattice basis
-    and positive form in dimension at most 3.  The default radius covers
-    the form values of the basis vectors and their pairwise sums, scaled
-    by the multiplier; if that provably cannot bound the cell the oracle
-    raises EnumerationInsufficient rather than guessing.  The multiplier
-    must be an int or a Fraction; delone_duality_check reports these cells.
+    and positive form in dimension at most 3, at a radius that by Babai's
+    bound always covers the cell; if the enumeration cannot prove the cell
+    complete the oracle raises EnumerationInsufficient rather than
+    guessing.  delone_duality_check reports these cells.
     """
-    return tuple(cell.vertex for cell in _cell_data(
-        lattice, q, _as_rational(radius_multiplier)))
+    return tuple(cell.vertex for cell in _cell_data(lattice, q))
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +444,22 @@ class DualityReport:
     entries: tuple[VertexDuality, ...]
 
 
-def delone_duality_check(ns: NormalSet,
-                         radius_multiplier: Fraction = Fraction(4)) -> DualityReport:
+def delone_duality_check(ns: NormalSet) -> DualityReport:
     """Check that every cell vertex is a proper Delone center.
 
     Each vertex of the DV cell must be equidistant, in the dicing form,
     to at least d+1 lattice points that affinely span the space, with no
     lattice point strictly closer, and each such point must lie on a
-    hyperplane of every family.  The cell oracle enforces the count and
-    the distances; the span and family checks raise DualityViolation.
+    hyperplane of every family.  The cell oracle at its fixed radius
+    enforces the count and the distances; span and family checks raise
+    DualityViolation.
     """
     d = ns.dimension
     if d > 3:
         raise DimensionTooLarge("duality check supports dimension at most 3")
     lat = lattice_of_dicing(ns)
     q = quadratic_form(ns)
-    cells = _cell_data(lat, q, _as_rational(radius_multiplier))
+    cells = _cell_data(lat, q)
     for cell in cells:
         first, *rest = cell.equidistant
         if rank(RatMatrix.from_rows([p - first for p in rest], cols=d)) != d:

@@ -1,8 +1,9 @@
 """End-to-end tests for the zonocert command line interface.
 
-Every test drives zonocert.cli.main in process and inspects the exit
-code plus whatever landed on stdout, stderr, or the output file.  One
-test exercises the installed console script through a real subprocess.
+Most tests drive zonocert.cli.main in process and inspect the exit code
+plus whatever landed on stdout, stderr, or the output file.  A few run
+``python -m zonocert.cli`` as a real subprocess: the console script, and
+a stdout that is a closed pipe or a full device.
 """
 
 import contextlib
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (RatVector, Zonotope, ZonocertError, cli, dv_zonotope,
-                      facets, jsonio, vertices_oracle)
+from zonocert import (FacetVectorSet, RatVector, Zonotope, ZonocertError, cli,
+                      dv_zonotope, facets, jsonio, parallelohedron,
+                      vertices_oracle)
 from zonocert.cli import bundled_corpus_path, main
 
 HEX_DOC = {
@@ -183,14 +185,14 @@ def test_non_utf8_stdin_exits_one(run, monkeypatch):
     (HEX_DOC, ["certify", "-o", "{tmp}/absent/cert.json"], "cannot write"),
     (HEX_DOC, ["export", "--format", "svg", "--patch-radius", "-1"],
      "patch radius must be non-negative"),
-    (HEX_DOC, ["dv-cell", "--multiplier", "0"], "--multiplier must be positive"),
+    (HEX_DOC, ["dv-cell", "--multiplier", "4"], "unrecognized arguments"),
 ])
 def test_invalid_invocation_exits_one(run, tmp_path, doc, argv, message):
     src = write_doc(tmp_path, "doc.json", doc)
     code, out, err = run(*[a.format(tmp=tmp_path) for a in argv], src)
     assert code == 1
     assert out == ""
-    assert err.startswith("zonocert: ")
+    assert err.splitlines()[-1].startswith("zonocert: ")
     assert message in err
 
 
@@ -204,14 +206,12 @@ def test_help_names_every_verb(run):
 
 def test_parser_is_reused_without_carrying_options(run, tmp_path):
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
-    code, out, _ = run("dv-cell", "--multiplier", "2", src)
+    code, out, _ = run("export", "--format", "svg", "--patch-radius", "1", src)
     assert code == 0
-    assert json.loads(out)["multiplier"] == "2"
-    code, out, _ = run("dv-cell", src)
+    assert out.count("<polygon") == 9
+    code, out, _ = run("export", "--format", "svg", src)
     assert code == 0
-    assert json.loads(out)["multiplier"] == "4"
-    code, _, _ = run("export", "--format", "svg", src)
-    assert code == 0
+    assert out.count("<polygon") == 1
     code, out, _ = run("edges", src)
     assert code == 0
     assert len(jsonio.parse_edge_set(json.loads(out)).edges) == 3
@@ -293,9 +293,13 @@ def test_dv_cell_verb(run, tmp_path):
     assert len(payload["vertices"]) == 6
 
 
-def test_dv_cell_multiplier_too_small_is_domain_error(run, tmp_path):
-    src = write_doc(tmp_path, "hex.json", HEX_DOC)
-    code, out, err = run("dv-cell", "--multiplier", "1/1000", src)
+def test_dv_cell_multiplier_too_small_is_domain_error(run, tmp_path,
+                                                    monkeypatch):
+    # at a quarter of the fixed radius the cube's cell cannot be certified
+    monkeypatch.setattr(parallelohedron, "RADIUS_MULTIPLIER", 1)
+    src = write_doc(tmp_path, "cube.json", dict(
+        RHOMBIC_DOC, normals=RHOMBIC_DOC["normals"][:3], weights=["1"] * 3))
+    code, out, err = run("dv-cell", src)
     assert code == 2
     assert json.loads(out)["error"] == "EnumerationInsufficient"
     assert "zonocert:" in err
@@ -641,6 +645,72 @@ def test_console_script_runs():
         "16 entries, 16 passed, 0 failed"
 
 
+def _corpus_into(stdout):
+    # buffered, as by default, so that the error shows only at the flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "zonocert.cli", "corpus"], env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def _assert_one_write_error(code, err):
+    assert code == 1
+    line, = err.splitlines()
+    assert line.startswith("zonocert: cannot write -: ")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_closed_stdout_pipe_exits_one():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _corpus_into(write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_write_error(proc.returncode, proc.stderr)
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_one():
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = _corpus_into(full)
+    _assert_one_write_error(proc.returncode, proc.stderr)
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("verb, doc", [("corpus", None),
+                                       ("certify", NON_DICING_DOC)])
+def test_broken_in_process_stdout_exits_one(capsys, monkeypatch, tmp_path,
+                                            verb, doc):
+    # certify on a non-dicing fails while writing its error payload
+    argv = [verb] if doc is None else [verb, write_doc(tmp_path, "in.json", doc)]
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    code = main(argv)
+    _assert_one_write_error(code, capsys.readouterr().err)
+
+
+def test_certify_mismatch_payload(run, tmp_path, monkeypatch):
+    real = parallelohedron._facet_vectors_from
+    monkeypatch.setattr(parallelohedron, "_facet_vectors_from", lambda *args:
+                        FacetVectorSet(real(*args).vectors[:-1]))
+    src = write_doc(tmp_path, "hex.json", HEX_DOC)
+    code, out, err = run("certify", src)
+    assert code == 2
+    payload = json.loads(out)
+    assert list(payload) == ["error", "message", "missing", "extra", "stage"]
+    assert payload["error"] == "Mismatch"
+    assert payload["stage"] == "n-equals-e"
+    assert len(payload["missing"]) == 1
+    assert payload["extra"] == []
+    assert err.startswith("zonocert: certification failed at stage 'n-equals-e'")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing every verb
 
@@ -679,7 +749,7 @@ def documents(draw):
 
 
 VERBS = [["edges"], ["lattice"], ["zonotope"], ["facets"], ["venkov"],
-         ["dv-cell"], ["dv-cell", "--multiplier", "1/2"], ["certify"],
+         ["dv-cell"], ["certify"],
          ["export", "--format", "svg"], ["export", "--format", "obj"],
          ["export", "--format", "svg", "--patch-radius", "1"],
          ["export", "--format", "obj", "--patch-radius", "1"], ["corpus"]]

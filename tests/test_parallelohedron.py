@@ -25,6 +25,7 @@ from zonocert.errors import (BasisCheckFailed, CertificationError,
                              EnumerationInsufficient, InvalidNormalSet,
                              Mismatch, NotADicing, NotPositiveDefinite)
 from zonocert.jsonio import parse_normal_set
+from zonocert import parallelohedron
 from zonocert.parallelohedron import _short_vectors
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
@@ -122,21 +123,26 @@ def test_oracle_cubic_lattice():
     assert len(verts) == 8
 
 
-def test_oracle_refuses_radius_that_cannot_span():
+def test_oracle_refuses_radius_that_cannot_span(monkeypatch):
+    # an enumeration at a thousandth of the fixed radius finds no point
+    monkeypatch.setattr(parallelohedron, "_short_vectors",
+                        lambda gram, cap: _short_vectors(gram, cap // 4000))
     ns = normal_set(HEXAGONAL)
-    with pytest.raises(EnumerationInsufficient):
-        dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns),
-                       Fraction(1, 1000))
+    with pytest.raises(EnumerationInsufficient,
+                       match="^enumerated lattice vectors do not span the space$"):
+        dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
 
 
-def test_oracle_refuses_unprovable_completeness():
-    # A radius of a third of the default covers exactly the right
-    # constraints here, but not the certification ball, so the oracle
-    # must decline rather than return the (correct) answer.
-    ns = normal_set(HEXAGONAL)
-    with pytest.raises(EnumerationInsufficient):
-        dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns),
-                       Fraction(1, 3))
+def test_oracle_refuses_unprovable_completeness(monkeypatch):
+    # A radius of a quarter of the fixed one covers exactly the right
+    # constraints of the cube, but not the certification ball (4 * 3/4 >
+    # 2), so the oracle must decline rather than return the (correct)
+    # answer.
+    monkeypatch.setattr(parallelohedron, "RADIUS_MULTIPLIER", 1)
+    ns = normal_set(CUBIC)
+    with pytest.raises(EnumerationInsufficient,
+                       match="^enumeration radius too small to certify"):
+        dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
 
 
 def test_oracle_dimension_cap():
@@ -157,17 +163,6 @@ def test_zonotope_matches_oracle_on_fixtures(rows):
     ns = normal_set(rows)
     assert vertices_oracle(dv_zonotope(ns)) == dv_cell_oracle(
         lattice_of_dicing(ns), quadratic_form(ns))
-
-
-def test_oracle_rejects_float_and_string_multipliers():
-    ns = normal_set(HEXAGONAL)
-    lat, q = lattice_of_dicing(ns), quadratic_form(ns)
-    for bad in (0.5, 4.0, "4"):
-        with pytest.raises(TypeError):
-            dv_cell_oracle(lat, q, bad)
-        with pytest.raises(TypeError):
-            delone_duality_check(ns, bad)
-    assert dv_cell_oracle(lat, q, 4) == dv_cell_oracle(lat, q)
 
 
 def test_oracle_names_both_dimensions_of_a_mismatched_form():
@@ -226,9 +221,17 @@ def test_oracle_is_independent_of_the_lattice_basis(data):
     # is the well-conditioned C^T C, which keeps the enumeration small.
     b_inv = inverse(b)
     q = QuadraticForm(b_inv.transpose() @ gram @ b_inv)
-    # at the default multiplier the oracle answers for every basis in d <= 3
-    assert dv_cell_oracle(LatticeBasis(b @ u), q) == \
-        dv_cell_oracle(LatticeBasis(b), q)
+    # at the fixed radius the oracle answers for every basis in d <= 3
+    vertices = dv_cell_oracle(LatticeBasis(b), q)
+    assert dv_cell_oracle(LatticeBasis(b @ u), q) == vertices
+    # Babai's bound, which makes that radius suffice: 4 phi(x) <= 3 M, M
+    # the largest phi of a basis vector or a sum of two
+    peak = max(q.value(x) for x in vertices)
+    for basis in (b, b @ u):
+        columns = list(basis.columns())
+        m = max(q.value(v) for v in columns + [
+            v + w for v, w in itertools.combinations(columns, 2)])
+        assert 4 * peak <= 3 * m
 
 
 def _low_dimensional_corpus():
