@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage or IO error (schema violations and an
 unwritable stdout included), 2 domain error; domain errors are written as
-JSON payloads so batch drivers can triage.  dv-cell has no radius option.
-Rendering converts exact rationals to decimals only at emission, rounded
-half to even at ZONOCERT_RENDER_DIGITS significant digits (default 12, at
-most 1000), whatever decimal context the calling program has set.
+JSON payloads so batch drivers can triage.  A full or closed stderr changes
+no exit code.  dv-cell has no radius option.  Exports convert exact
+rationals to decimals only at emission: 12 significant digits, rounded
+half to even, whatever decimal context or environment variables the
+calling program has set.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .ratgeom import RatMatrix, RatVector, det, kernel_basis, zero_vector
 from .zonotope import Zonotope, facets, venkov_check, vertices_oracle
 
 
-# Upper bounds on what one export may ask for: decimal digits per
-# coordinate, and lattice translates in a patch.
-_MAX_RENDER_DIGITS = 1000
+# Every emitted coordinate is rounded in this context, never in the caller's.
+_RENDER = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+# Upper bound on the lattice translates of one export patch.
 _MAX_PATCH_TRANSLATES = 10 ** 4
 
 
@@ -106,6 +107,16 @@ def _read_input(path: str):
         raise _UsageError(f"{path}: not valid JSON: {err}")
 
 
+def _silence(stream):
+    """Point stream's descriptor at os.devnull after a failed write, so that
+    the flush at exit drops what it still buffers instead of failing."""
+    try:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stream.fileno())
+    except (AttributeError, ValueError, OSError):
+        pass  # an in-process stream without a descriptor
+
+
 def _write_output(path: str, text: str):
     try:
         if path == "-":
@@ -115,13 +126,18 @@ def _write_output(path: str, text: str):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as err:
-        try:  # let the flush at exit drop what stdout still buffers
-            if path == "-":
-                with open(os.devnull, "wb") as null:
-                    os.dup2(null.fileno(), sys.stdout.fileno())
-        except (AttributeError, ValueError, OSError):
-            pass  # an in-process stream without a descriptor
+        if path == "-":
+            _silence(sys.stdout)
         raise _UsageError(f"cannot write {path}: {err}")
+
+
+def _note(text: str):
+    """Write to stderr; a stderr that is closed or full changes no exit code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # sys.stderr is None when fd 2 is closed
+        _silence(sys.stderr)
 
 
 def _load_normal_set(doc) -> NormalSet:
@@ -145,25 +161,9 @@ def _load_cell(doc) -> tuple[NormalSet | None, Zonotope]:
 # decimal emission
 
 
-def _render_context() -> decimal.Context:
-    """The decimal context of one export, whatever the caller's context:
-    ZONOCERT_RENDER_DIGITS significant digits, rounded half to even."""
-    raw = os.environ.get("ZONOCERT_RENDER_DIGITS", "12")
-    try:
-        digits = int(raw)
-    except ValueError:
-        raise _UsageError(f"ZONOCERT_RENDER_DIGITS must be an integer, got {raw!r}")
-    if digits < 1:
-        raise _UsageError("ZONOCERT_RENDER_DIGITS must be positive")
-    if digits > _MAX_RENDER_DIGITS:
-        raise _UsageError(
-            f"ZONOCERT_RENDER_DIGITS must be at most {_MAX_RENDER_DIGITS}")
-    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN)
-
-
-def _decimal_str(x: Fraction, ctx: decimal.Context) -> str:
-    """x rounded in ctx: its numerator divided by its denominator."""
-    return ctx.to_sci_string(ctx.divide(x.numerator, x.denominator))
+def _decimal_str(x: Fraction) -> str:
+    """x rounded in _RENDER: its numerator divided by its denominator."""
+    return _RENDER.to_sci_string(_RENDER.divide(x.numerator, x.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,7 @@ def _patch_offsets(ns: NormalSet | None, z: Zonotope, patch_radius: int,
 # SVG (d = 2)
 
 
-def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
-                  ctx: decimal.Context) -> str:
+def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int) -> str:
     offsets = _patch_offsets(ns, z, patch_radius, "svg", 2)
     polygon = sorted((v.entries for v in vertices_oracle(z)), key=_angle_key)
     arrows: list[tuple[Fraction, Fraction]] = []
@@ -243,7 +242,7 @@ def _svg_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
     width = max(xs) - min(xs) + 2 * margin
     height = max(ys) - min(ys) + 2 * margin
 
-    dec = lambda v: _decimal_str(v, ctx)
+    dec = _decimal_str
     stroke = dec(span / 200)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -328,16 +327,15 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
     return [RatVector(v) for v in verts], polygons
 
 
-def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int,
-                  ctx: decimal.Context) -> str:
+def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int) -> str:
     offsets = _patch_offsets(ns, z, patch_radius, "obj", 3)
     verts, polygons = _facet_polygons(z)
 
-    dec = lambda v: _decimal_str(v, ctx)
     lines = ["# zonocert DV cell export"]
     for off in offsets:
         for v in verts:
-            lines.append("v " + " ".join(dec(a + b) for a, b in zip(v, off)))
+            lines.append("v " + " ".join(_decimal_str(a + b)
+                                         for a, b in zip(v, off)))
     block = len(verts)
     for b, _ in enumerate(offsets):
         for poly in polygons:
@@ -425,10 +423,9 @@ def _verb_certify(args) -> tuple[int, str]:
 
 def _verb_export(args) -> tuple[int, str]:
     ns, z = _load_cell(_read_input(args.input))
-    ctx = _render_context()
     if args.format == "svg":
-        return 0, _svg_document(ns, z, args.patch_radius, ctx)
-    return 0, _obj_document(ns, z, args.patch_radius, ctx)
+        return 0, _svg_document(ns, z, args.patch_radius)
+    return 0, _obj_document(ns, z, args.patch_radius)
 
 
 def bundled_corpus_path() -> str:
@@ -511,7 +508,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as err:
-        sys.stderr.write(str(err) + "\n")
+        _note(f"{err}\n")
         return 1
     except SystemExit as err:
         return int(err.code or 0)
@@ -525,9 +522,9 @@ def main(argv=None) -> int:
             code, text, message = 2, jsonio.dumps(err.payload()), f"zonocert: {err}\n"
         _write_output(args.output, text)
     except (_UsageError, SchemaError) as err:
-        sys.stderr.write(f"zonocert: {err}\n")
+        _note(f"zonocert: {err}\n")
         return 1
-    sys.stderr.write(message)
+    _note(message)
     return code
 
 

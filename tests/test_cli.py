@@ -2,8 +2,8 @@
 
 Most tests drive zonocert.cli.main in process and inspect the exit code
 plus whatever landed on stdout, stderr, or the output file.  A few run
-``python -m zonocert.cli`` as a real subprocess: the console script, and
-a stdout that is a closed pipe or a full device.
+``python -m zonocert.cli`` as a real subprocess: the console script, a
+stdout that is a closed pipe or a full device, and a full stderr.
 """
 
 import contextlib
@@ -259,6 +259,19 @@ def test_facets_verb(run, tmp_path):
     assert set(first) == {"normal", "support", "subset", "center"}
 
 
+@pytest.mark.parametrize("verb", [["facets"], ["venkov"],
+                                  ["export", "--format", "svg"]])
+def test_cell_verbs_refuse_an_edge_set_document(run, tmp_path, verb):
+    code, edges, _ = run("edges", write_doc(tmp_path, "hex.json", HEX_DOC))
+    assert code == 0
+    src = tmp_path / "edges.json"
+    src.write_text(edges)
+    code, out, err = run(*verb, str(src))
+    assert code == 1
+    assert out == ""
+    assert err == "zonocert: $: expected a normal_set or zonotope document\n"
+
+
 def test_venkov_verb_accepts_cube(run, tmp_path):
     src = write_doc(tmp_path, "cube.json", CUBE_DOC)
     code, out, _ = run("venkov", src)
@@ -466,36 +479,19 @@ def test_export_bytes_ignore_the_callers_decimal_context(run, tmp_path, fmt,
     assert plain[0] == 0
 
 
-def test_render_digits_env_var(run, tmp_path, monkeypatch):
+@pytest.mark.parametrize("raw", ["3", "40", "many", "0", str(10 ** 9)])
+def test_export_bytes_ignore_the_render_digits_variable(run, tmp_path,
+                                                        monkeypatch, raw):
+    # the variable set the precision once; it is no longer read
     src = write_doc(tmp_path, "hex.json", HEX_DOC)
-    monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", "3")
-    code, out, _ = run("export", "--format", "svg", "--patch-radius", "1", src)
-    assert code == 0
-    assert 'viewBox="-1.83 -1.83 3.67 3.67"' in out
-
-
-def test_render_digits_rejects_garbage(run, tmp_path, monkeypatch):
-    src = write_doc(tmp_path, "hex.json", HEX_DOC)
-    for raw in ("many", "0"):
-        monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", raw)
-        code, _, err = run("export", "--format", "svg", src)
-        assert code == 1
-        assert "ZONOCERT_RENDER_DIGITS" in err
-
-
-def test_render_digits_refuses_a_huge_precision_at_once(run, tmp_path,
-                                                       monkeypatch):
-    src = write_doc(tmp_path, "hex.json", HEX_DOC)
-
-    def render(x, ctx):
-        raise AssertionError("rendered a coordinate at a refused precision")
-
-    monkeypatch.setattr(cli, "_decimal_str", render)
-    monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", str(10 ** 9))
-    code, out, err = run("export", "--format", "svg", src)
-    assert code == 1
-    assert out == ""
-    assert err == "zonocert: ZONOCERT_RENDER_DIGITS must be at most 1000\n"
+    argv = ("export", "--format", "svg", "--patch-radius", "1", src)
+    monkeypatch.delenv("ZONOCERT_RENDER_DIGITS", raising=False)
+    plain = run(*argv)
+    monkeypatch.setenv("ZONOCERT_RENDER_DIGITS", raw)
+    assert run(*argv) == plain
+    assert plain[0] == 0
+    assert ('viewBox="-1.83333333333 -1.83333333333 3.66666666667 '
+            '3.66666666667"') in plain[1]
 
 
 @pytest.mark.parametrize("doc, fmt, largest", [
@@ -620,6 +616,30 @@ def test_corpus_surprise_success_fails(run, tmp_path):
     assert "FAIL" in out
 
 
+def _reject_every_certificate(monkeypatch):
+    audit = parallelohedron.CertificateAudit(ok=False, failures=("forged",))
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: audit)
+
+
+def test_certify_refuses_what_the_verifier_rejects(run, tmp_path, monkeypatch):
+    _reject_every_certificate(monkeypatch)
+    code, out, err = run("certify", write_doc(tmp_path, "hex.json", HEX_DOC))
+    assert code == 2
+    assert json.loads(out)["error"] == "InternalFault"
+    assert err == ("zonocert: certificate failed independent verification: "
+                   "forged\n")
+
+
+def test_corpus_fails_what_the_verifier_rejects(run, tmp_path, monkeypatch):
+    _reject_every_certificate(monkeypatch)
+    entry = {"name": "forged", "normal_set": HEX_DOC, "expected": {}}
+    code, out, _ = run("corpus", write_doc(tmp_path, "corpus.json", [entry]))
+    assert code == 2
+    assert out.splitlines()[0] == cli._corpus_line(
+        "forged", "FAIL", "verifier rejected: forged")
+    assert out.strip().splitlines()[-1] == "1 entries, 0 passed, 1 failed"
+
+
 @pytest.mark.parametrize("entries, message", [
     ([{"name": "a", "normal_set": HEX_DOC}, {"name": "a", "normal_set": HEX_DOC}],
      "$[1].name: duplicate entry name 'a'"),
@@ -693,6 +713,42 @@ def test_broken_in_process_stdout_exits_one(capsys, monkeypatch, tmp_path,
     monkeypatch.setattr(sys, "stdout", _BrokenStdout())
     code = main(argv)
     _assert_one_write_error(code, capsys.readouterr().err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stderr_keeps_the_domain_exit_code(run, tmp_path):
+    src = write_doc(tmp_path, "in.json", NON_DICING_DOC)
+    _, payload, _ = run("certify", src)
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonocert.cli", "certify", src],
+            stdout=subprocess.PIPE, stderr=full, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == payload
+    assert json.loads(payload)["stage"] == "edge-set"
+
+
+class _FullStderr(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [_FullStderr, lambda: None],
+                         ids=["full", "closed"])
+@pytest.mark.parametrize("argv, code", [(["certify"], 2),
+                                        (["certify", "--bogus"], 1)],
+                         ids=["domain-error", "usage-error"])
+def test_unwritable_stderr_keeps_the_exit_code(capsys, monkeypatch, tmp_path,
+                                               stderr, argv, code):
+    # sys.stderr is None when the process starts with descriptor 2 closed
+    src = write_doc(tmp_path, "in.json", NON_DICING_DOC)
+    monkeypatch.setattr(sys, "stderr", stderr())
+    assert main(argv + [src]) == code
+    out = capsys.readouterr().out
+    if code == 2:
+        assert json.loads(out)["stage"] == "edge-set"
+    else:
+        assert out == ""
 
 
 def test_certify_mismatch_payload(run, tmp_path, monkeypatch):
