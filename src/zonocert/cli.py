@@ -1,12 +1,13 @@
 """Command line front end: JSON pipeline verbs, batch corpus runs, exports.
 
+The verbs compute, and jsonio builds every JSON document they write.
 Exit codes: 0 success, 1 usage or IO error (schema violations and an
 unwritable stdout included), 2 domain error; domain errors are written as
-JSON payloads so batch drivers can triage.  A full or closed stderr changes
-no exit code.  dv-cell has no radius option.  Exports convert exact
-rationals to decimals only at emission: 12 significant digits, rounded
-half to even, whatever decimal context or environment variables the
-calling program has set.
+jsonio.error_to_json payloads so batch drivers can triage.  A full or
+closed stderr changes no exit code.  dv-cell has no radius option.
+Exports convert exact rationals to decimals only at emission: 12
+significant digits, rounded half to even, whatever decimal context or
+environment variables the calling program has set.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from fractions import Fraction
 
 from . import jsonio
 from .dicing import NormalSet, compute_edge_set
-from .errors import (CertificationError, DimensionMismatch, InternalFault,
-                     SchemaError, ZonocertError)
-from .parallelohedron import (RADIUS_MULTIPLIER, certify_second_voronoi,
-                              dv_cell_oracle, dv_zonotope, facet_vectors,
-                              lattice_of_dicing, quadratic_form, verify_certificate)
+from .errors import DimensionMismatch, InternalFault, SchemaError, ZonocertError
+from .parallelohedron import (certify_second_voronoi, dv_cell_oracle,
+                              dv_zonotope, facet_vectors, lattice_of_dicing,
+                              quadratic_form, verify_certificate)
 from .ratgeom import RatMatrix, RatVector, det, kernel_basis, zero_vector
 from .zonotope import Zonotope, facets, venkov_check, vertices_oracle
 
@@ -365,49 +365,18 @@ def _verb_zonotope(args) -> tuple[int, str]:
 
 def _verb_facets(args) -> tuple[int, str]:
     _, z = _load_cell(_read_input(args.input))
-    report = {
-        "schema": jsonio.SCHEMA_VERSION,
-        "dim": z.dimension,
-        "facet_pairs": [{
-            "normal": jsonio.vector_to_json(f.normal),
-            "support": jsonio.rational_to_str(f.support),
-            "subset": list(f.generator_subset),
-            "center": jsonio.vector_to_json(f.center),
-        } for f in facets(z)],
-    }
-    return 0, jsonio.dumps(report)
+    return 0, jsonio.dumps(jsonio.facet_pairs_to_json(z.dimension, facets(z)))
 
 
 def _verb_venkov(args) -> tuple[int, str]:
     _, z = _load_cell(_read_input(args.input))
-    report = venkov_check(z)
-    doc = {
-        "schema": jsonio.SCHEMA_VERSION,
-        "dim": z.dimension,
-        "parallelohedron": report.holds,
-        # every zonotope and each of its faces is centrally symmetric
-        "centrally_symmetric": True,
-        "facets_centrally_symmetric": True,
-        "ridges": [{
-            "flat": list(r.flat),
-            "direction_count": r.direction_count,
-            "class": r.classification,
-        } for r in report.ridges],
-        "witnesses": [list(r.flat) for r in report.witnesses],
-    }
-    return 0, jsonio.dumps(doc)
+    return 0, jsonio.dumps(jsonio.venkov_to_json(z.dimension, venkov_check(z)))
 
 
 def _verb_dv_cell(args) -> tuple[int, str]:
     ns = _load_normal_set(_read_input(args.input))
     vertices = dv_cell_oracle(lattice_of_dicing(ns), quadratic_form(ns))
-    doc = {
-        "schema": jsonio.SCHEMA_VERSION,
-        "dim": ns.dimension,
-        "multiplier": str(RADIUS_MULTIPLIER),
-        "vertices": [jsonio.vector_to_json(v) for v in vertices],
-    }
-    return 0, jsonio.dumps(doc)
+    return 0, jsonio.dumps(jsonio.dv_cell_to_json(ns.dimension, vertices))
 
 
 def _verb_certify(args) -> tuple[int, str]:
@@ -454,12 +423,12 @@ def _run_corpus_entry(entry, location: str) -> tuple[bool, str, str]:
     except SchemaError:
         raise
     except ZonocertError as err:
-        cause = err.cause if isinstance(err, CertificationError) else err
-        got = type(cause).__name__
+        payload = jsonio.error_to_json(err)
+        got = payload["error"]
         if expected.get("error") == got:
             return True, name, _corpus_line(name, "pass", f"expected error {got}")
-        return False, name, _corpus_line(name, "FAIL",
-                                         f"unexpected error {got}: {cause}")
+        return False, name, _corpus_line(
+            name, "FAIL", f"unexpected error {got}: {payload['message']}")
     if "error" in expected:
         return False, name, _corpus_line(
             name, "FAIL",
@@ -519,7 +488,8 @@ def main(argv=None) -> int:
         except SchemaError:
             raise
         except ZonocertError as err:
-            code, text, message = 2, jsonio.dumps(err.payload()), f"zonocert: {err}\n"
+            code, text = 2, jsonio.dumps(jsonio.error_to_json(err))
+            message = f"zonocert: {err}\n"
         _write_output(args.output, text)
     except (_UsageError, SchemaError) as err:
         _note(f"zonocert: {err}\n")

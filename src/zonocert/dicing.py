@@ -84,6 +84,9 @@ class EdgeSet:
         if len(self.edges) != len(self.provenance):
             raise ValueError("one provenance subset per edge required")
         for k, e in enumerate(self.edges):
+            if e.dim != self.dimension:
+                raise ValueError(f"edge {k} has dimension {e.dim}, "
+                                 f"expected {self.dimension}")
             if e.is_zero():
                 raise ValueError(f"edge {k} is zero")
         pair = first_parallel_pair(self.edges)
@@ -136,11 +139,9 @@ class DicingRep:
 
 def first_basis_indices(ns: NormalSet) -> tuple[int, ...]:
     """Indices of the first d independent normals: the pivot columns of
-    the matrix whose columns are the normals."""
-    pivots = RatMatrix.from_columns(ns.normals)._echelon[3]
-    if len(pivots) != ns.dimension:
-        raise InvalidNormalSet("normals do not span the space")
-    return pivots
+    the matrix whose columns are the normals, d of them as a NormalSet
+    spans the space."""
+    return RatMatrix.from_columns(ns.normals)._echelon[3]
 
 
 def dual_edge_indices(ns: NormalSet, es: EdgeSet,

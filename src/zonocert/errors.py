@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every zonocert module.
 
-Every domain failure derives from ZonocertError and knows how to render
-itself as a JSON-friendly payload, so the command line layer can report
-errors uniformly.
+Every domain failure derives from ZonocertError.  The errors hold data
+only: a witness, a stage or a location.  jsonio.error_to_json renders
+them as the JSON payload the command line writes on exit 2.
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ from __future__ import annotations
 
 class ZonocertError(Exception):
     """Base class for all domain errors raised by this package."""
-
-    def payload(self) -> dict:
-        """JSON-serializable description of the failure."""
-        return {"error": type(self).__name__, "message": str(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +54,6 @@ class NotADicing(ZonocertError):
         self.subset = subset
         self.kernel = kernel
         self.products = products
-
-    def payload(self) -> dict:
-        from .jsonio import rational_to_str
-        return {
-            "error": "NotADicing",
-            "message": str(self),
-            "witness": {
-                "subset": list(self.subset),
-                "kernel": [rational_to_str(x) for x in self.kernel],
-                "products": [rational_to_str(x) for x in self.products],
-            },
-        }
 
 
 class RepresentationCheckFailed(ZonocertError):
@@ -128,15 +112,6 @@ class Mismatch(ZonocertError):
         self.missing = missing
         self.extra = extra
 
-    def payload(self) -> dict:
-        from .jsonio import vector_to_json
-        return {
-            "error": "Mismatch",
-            "message": str(self),
-            "missing": [vector_to_json(v) for v in self.missing],
-            "extra": [vector_to_json(v) for v in self.extra],
-        }
-
 
 class BasisCheckFailed(ZonocertError):
     pass
@@ -166,11 +141,6 @@ class CertificationError(ZonocertError):
         self.stage = stage
         self.cause = cause
 
-    def payload(self) -> dict:
-        inner = self.cause.payload()
-        inner["stage"] = self.stage
-        return inner
-
 
 class SchemaError(ZonocertError):
     """Input JSON does not match a documented schema.
@@ -181,10 +151,6 @@ class SchemaError(ZonocertError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
         self.location = location
-
-    def payload(self) -> dict:
-        return {"error": "SchemaError", "location": self.location,
-                "message": str(self)}
 
 
 class DimensionMismatch(ZonocertError):

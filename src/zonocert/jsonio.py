@@ -1,10 +1,13 @@
-"""JSON serialization for library types.
+"""The v1 JSON format: library types, reports and error payloads.
 
-Rationals travel as strings "p/q" (the "/q" part omitted for integers),
-so no float ever enters or leaves a document.  Every top-level document
-carries a "schema" version field; emission is deterministic, so equal
-values produce byte-identical output.  Parsers raise SchemaError naming
-the offending field by a dotted location path.
+This module builds every JSON document the command line writes: the
+library types, the facets, venkov and dv-cell reports, and the payload
+of a domain error.  Rationals travel as strings "p/q" (the "/q" part
+omitted for integers), so no float ever enters or leaves a document.
+Every top-level document except an error payload carries a "schema"
+version field; emission is deterministic, so equal values produce
+byte-identical output.  Parsers raise SchemaError naming the offending
+field by a dotted location path.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ import re
 from fractions import Fraction
 
 from .dicing import EdgeSet, NormalSet
-from .errors import SchemaError
-from .parallelohedron import FacetVectorSet, VoronoiCertificate
+from .errors import (CertificationError, Mismatch, NotADicing, SchemaError,
+                     ZonocertError)
+from .parallelohedron import (RADIUS_MULTIPLIER, FacetVectorSet,
+                              VoronoiCertificate)
 from .ratgeom import LatticeBasis, RatMatrix, RatVector
-from .zonotope import Zonotope
+from .zonotope import FacetDescriptor, VenkovReport, Zonotope
 
 SCHEMA_VERSION = "v1"
 
@@ -118,17 +123,19 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _document(dim: int, **fields) -> dict:
+    """A v1 document: the schema version and dim, then ``fields`` in order."""
+    return {"schema": SCHEMA_VERSION, "dim": dim, **fields}
+
+
 # ---------------------------------------------------------------------------
 # library types
 
 
 def normal_set_to_json(ns: NormalSet) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": ns.dimension,
-        "normals": [vector_to_json(v) for v in ns.normals],
-        "weights": [rational_to_str(w) for w in ns.weights],
-    }
+    return _document(ns.dimension,
+                     normals=[vector_to_json(v) for v in ns.normals],
+                     weights=[rational_to_str(w) for w in ns.weights])
 
 
 def parse_normal_set(doc, location: str = "$") -> NormalSet:
@@ -142,12 +149,9 @@ def parse_normal_set(doc, location: str = "$") -> NormalSet:
 
 
 def edge_set_to_json(es: EdgeSet) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": es.dimension,
-        "edges": [vector_to_json(v) for v in es.edges],
-        "provenance": [list(p) for p in es.provenance],
-    }
+    return _document(es.dimension,
+                     edges=[vector_to_json(v) for v in es.edges],
+                     provenance=[list(p) for p in es.provenance])
 
 
 def parse_edge_set(doc, location: str = "$") -> EdgeSet:
@@ -174,11 +178,8 @@ def parse_edge_set(doc, location: str = "$") -> EdgeSet:
 
 
 def zonotope_to_json(z: Zonotope) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": z.dimension,
-        "generators": [vector_to_json(v) for v in z.generators],
-    }
+    return _document(z.dimension,
+                     generators=[vector_to_json(v) for v in z.generators])
 
 
 def parse_zonotope(doc, location: str = "$") -> Zonotope:
@@ -187,11 +188,8 @@ def parse_zonotope(doc, location: str = "$") -> Zonotope:
 
 
 def lattice_to_json(lat: LatticeBasis) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": lat.dimension,
-        "basis": [vector_to_json(v) for v in lat.vectors],
-    }
+    return _document(lat.dimension,
+                     basis=[vector_to_json(v) for v in lat.vectors])
 
 
 def parse_lattice(doc, location: str = "$") -> LatticeBasis:
@@ -205,23 +203,21 @@ def parse_lattice(doc, location: str = "$") -> LatticeBasis:
 
 
 def certificate_to_json(cert: VoronoiCertificate, verified: bool) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": cert.normal_set.dimension,
-        "normal_set": normal_set_to_json(cert.normal_set),
-        "edge_set": edge_set_to_json(cert.edge_set),
-        "zonotope": zonotope_to_json(cert.zonotope),
-        "facet_vectors": {
+    return _document(
+        cert.normal_set.dimension,
+        normal_set=normal_set_to_json(cert.normal_set),
+        edge_set=edge_set_to_json(cert.edge_set),
+        zonotope=zonotope_to_json(cert.zonotope),
+        facet_vectors={
             "vectors": [vector_to_json(v) for v in cert.facet_vectors.vectors],
             "facet_link": list(range(len(cert.facet_vectors.vectors))),
         },
-        "ne_bijection": [{"edge": i, "vector": j, "sign": s}
-                         for i, j, s in cert.ne_bijection],
-        "lattice": lattice_to_json(cert.lattice),
-        "basis_indices": list(cert.basis_indices),
-        "det": rational_to_str(cert.lattice_coordinate_det),
-        "verified": bool(verified),
-    }
+        ne_bijection=[{"edge": i, "vector": j, "sign": s}
+                      for i, j, s in cert.ne_bijection],
+        lattice=lattice_to_json(cert.lattice),
+        basis_indices=list(cert.basis_indices),
+        det=rational_to_str(cert.lattice_coordinate_det),
+        verified=bool(verified))
 
 
 def _parse_part(doc: dict, key: str, parse, dim: int, location: str):
@@ -289,3 +285,51 @@ def detect_payload(doc, location: str = "$") -> str:
         return "certificate"
     raise SchemaError(location, "unrecognizable document; expected one of "
                       "normal_set, edge_set, zonotope, lattice, certificate")
+
+
+# ---------------------------------------------------------------------------
+# reports and error payloads
+
+
+def facet_pairs_to_json(dim: int, pairs: tuple[FacetDescriptor, ...]) -> dict:
+    return _document(dim, facet_pairs=[{
+        "normal": vector_to_json(f.normal),
+        "support": rational_to_str(f.support),
+        "subset": list(f.generator_subset),
+        "center": vector_to_json(f.center),
+    } for f in pairs])
+
+
+def venkov_to_json(dim: int, report: VenkovReport) -> dict:
+    # every zonotope and each of its faces is centrally symmetric
+    return _document(
+        dim, parallelohedron=report.holds, centrally_symmetric=True,
+        facets_centrally_symmetric=True,
+        ridges=[{"flat": list(r.flat), "direction_count": r.direction_count,
+                 "class": r.classification} for r in report.ridges],
+        witnesses=[list(r.flat) for r in report.witnesses])
+
+
+def dv_cell_to_json(dim: int, vertices: tuple[RatVector, ...]) -> dict:
+    return _document(dim, multiplier=str(RADIUS_MULTIPLIER),
+                     vertices=[vector_to_json(v) for v in vertices])
+
+
+def error_to_json(err: ZonocertError) -> dict:
+    """Payload of a domain error: the name and message of its cause (the
+    error a CertificationError wraps, else err), the cause's witness data,
+    and last the stage of a CertificationError."""
+    cause = err.cause if isinstance(err, CertificationError) else err
+    doc = {"error": type(cause).__name__, "message": str(cause)}
+    if isinstance(cause, NotADicing):
+        doc["witness"] = {
+            "subset": list(cause.subset),
+            "kernel": [rational_to_str(x) for x in cause.kernel],
+            "products": [rational_to_str(x) for x in cause.products],
+        }
+    elif isinstance(cause, Mismatch):
+        doc["missing"] = [vector_to_json(v) for v in cause.missing]
+        doc["extra"] = [vector_to_json(v) for v in cause.extra]
+    if cause is not err:
+        doc["stage"] = err.stage
+    return doc

@@ -503,8 +503,6 @@ def certify_second_voronoi(ns: NormalSet) -> VoronoiCertificate:
     def stage(name, fn, *args):
         try:
             return fn(*args)
-        except CertificationError:
-            raise
         except ZonocertError as err:
             raise CertificationError(name, err) from err
 
@@ -541,9 +539,16 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
     Runs no pipeline code beyond formula evaluation, so a certificate
     forged or corrupted after certification is caught here.
     """
-    bad: list[str] = []
     ns, es, fv = cert.normal_set, cert.edge_set, cert.facet_vectors
     d = ns.dimension
+    # a part of another dimension admits no product with the normals
+    bad = [f"{label} {k} has dimension {v.dim}, expected {d}"
+           for label, vecs in (("edge", es.edges), ("facet vector", fv.vectors),
+                               ("generator", cert.zonotope.generators),
+                               ("lattice basis vector", cert.lattice.vectors))
+           for k, v in enumerate(vecs) if v.dim != d]
+    if bad:
+        return CertificateAudit(ok=False, failures=tuple(bad))
 
     if len(es.edges) != len(fv.vectors):
         bad.append("edge and facet vector counts differ")

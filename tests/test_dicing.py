@@ -88,6 +88,13 @@ def test_edge_set_provenance_indices_must_be_ints(bad):
     assert EdgeSet(2, (vec(1, 0),), ((1,),)).provenance == ((1,),)
 
 
+def test_edge_set_refuses_an_edge_of_another_dimension():
+    # such an edge would make the verifier's products raise
+    with pytest.raises(ValueError) as err:
+        EdgeSet(2, (vec(1, 0, 0), vec(0, 1)), ((0,), (1,)))
+    assert str(err.value) == "edge 0 has dimension 3, expected 2"
+
+
 # ---------------------------------------------------------------------------
 # edge sets
 

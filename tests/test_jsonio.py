@@ -1,12 +1,14 @@
 """JSON serialization: round trips, canonical text, schema errors."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from zonocert import (certify_second_voronoi, compute_edge_set, dv_zonotope,
-                      jsonio, lattice_of_dicing)
+                      errors, jsonio, lattice_of_dicing)
 from zonocert.errors import SchemaError
 
 from conftest import CHECKER, HEXAGONAL, RHOMBIC, normal_set
@@ -300,3 +302,22 @@ def test_detect_payload_kinds():
         jsonio.lattice_to_json(lattice_of_dicing(ns))) == "lattice"
     assert jsonio.detect_payload(
         jsonio.certificate_to_json(cert, verified=False)) == "certificate"
+
+
+# ---------------------------------------------------------------------------
+# ownership of the format
+
+
+def test_errors_module_holds_data_only():
+    # jsonio renders the error payloads; errors imports no zonocert module
+    # and defines no payload method
+    tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.partition(".")[0] != \
+                "zonocert", f"line {node.lineno} imports from zonocert"
+        elif isinstance(node, ast.Import):
+            assert all(a.name.partition(".")[0] != "zonocert"
+                       for a in node.names), node.lineno
+        elif isinstance(node, ast.FunctionDef):
+            assert node.name != "payload", f"line {node.lineno}"

@@ -901,13 +901,36 @@ def _repeat_provenance_index(cert):
             f"provenance {(i, i)} of edge 0 does not have rank 2")
 
 
+def _lift_facet_vector(cert):
+    first, *rest = cert.facet_vectors.vectors
+    return (_with_vectors(cert, (vec(*first, 0), *rest)),
+            "facet vector 0 has dimension 3, expected 2")
+
+
+def _lift_lattice(cert):
+    return (dataclasses.replace(cert, lattice=lattice_of_dicing(
+        normal_set(CUBIC))), "lattice basis vector 0 has dimension 3, expected 2")
+
+
+def _lift_zonotope(cert):
+    return (dataclasses.replace(cert, zonotope=dv_zonotope(normal_set(CUBIC))),
+            "generator 0 has dimension 3, expected 2")
+
+
+def _lift_edge_set(cert):
+    return (dataclasses.replace(cert, edge_set=compute_edge_set(
+        normal_set(CUBIC))), "edge 0 has dimension 3, expected 2")
+
+
 @pytest.mark.parametrize("rows, forge", [
     (HEXAGONAL, _drop_facet_vector), (HEXAGONAL, _drop_matched_pair),
     (HEXAGONAL, _double_edge), (HEXAGONAL, _double_lattice),
     (HEXAGONAL, _halve_facet_vector), (HEXAGONAL, _repeat_basis_index),
     (RHOMBIC, _dependent_basis), (SQUARE, _add_spurious_pair),
     (HEXAGONAL, _forge_provenance), (HEXAGONAL, _swap_provenance),
-    (RHOMBIC, _repeat_provenance_index)])
+    (RHOMBIC, _repeat_provenance_index), (HEXAGONAL, _lift_facet_vector),
+    (HEXAGONAL, _lift_lattice), (HEXAGONAL, _lift_zonotope),
+    (HEXAGONAL, _lift_edge_set)])
 def test_verifier_names_each_forged_invariant(rows, forge):
     bad, message = forge(certify_second_voronoi(normal_set(rows)))
     audit = verify_certificate(bad)
