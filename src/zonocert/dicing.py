@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
-                     RepresentationCheckFailed, Singular)
+                     RepresentationCheckFailed)
 from .ratgeom import (RatMatrix, RatVector, _as_index, _as_rational,
                       _bareiss_det, first_parallel_pair, independent_spans,
                       inverse, kernel_line, rank)
@@ -223,17 +223,3 @@ def unimodular_representation(ns: NormalSet, es: EdgeSet) -> DicingRep:
         raise RepresentationCheckFailed("normal matrix is not totally unimodular")
     edges_matrix = RatMatrix.from_columns(edges_cols)
     return DicingRep(transform, normals_matrix, edges_matrix, tuple(signs))
-
-
-def apply_affine(ns: NormalSet, es: EdgeSet, m: RatMatrix) -> tuple[NormalSet, EdgeSet]:
-    """Transform a dicing by an invertible matrix.
-
-    Points move by m, so edges move by m and normals by the inverse
-    transpose; all normal-edge pairings are preserved exactly.
-    """
-    if m.rows != m.cols or m.rows != ns.dimension:
-        raise Singular("transform must be square of the ambient dimension")
-    inv_t = inverse(m).transpose()
-    new_ns = NormalSet(ns.dimension, [inv_t @ v for v in ns.normals], ns.weights)
-    new_es = EdgeSet(es.dimension, [m @ e for e in es.edges], es.provenance)
-    return new_ns, new_es

@@ -76,10 +76,6 @@ class SpanDeficient(ZonocertError):
     pass
 
 
-class ZeroDirection(ZonocertError):
-    pass
-
-
 class DimensionTooSmall(ZonocertError):
     pass
 

@@ -440,7 +440,6 @@ def dv_cell_oracle(lattice: LatticeBasis, q: QuadraticForm) -> tuple[RatVector, 
 
 @dataclass(frozen=True)
 class DualityReport:
-    dimension: int
     entries: tuple[VertexDuality, ...]
 
 
@@ -471,7 +470,7 @@ def delone_duality_check(ns: NormalSet) -> DualityReport:
                 if v.dot(p).denominator != 1:
                     raise DualityViolation(
                         f"equidistant point {p.entries} misses family {k}")
-    return DualityReport(d, tuple(cells))
+    return DualityReport(tuple(cells))
 
 
 # ---------------------------------------------------------------------------

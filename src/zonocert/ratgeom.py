@@ -6,14 +6,14 @@ Each vector, and each matrix row, clears its denominators once and caches
 the result: one common denominator with a tuple of integer numerators.  A
 dot product or a matrix-vector product is then one integer sum and one
 ``Fraction`` per entry.
-Rank, determinant, reduced echelon form, kernels and inverses all come
-from one fraction-free Gauss-Jordan loop (Bareiss) over integer-cleared
-rows.  Each matrix runs it once for rank, determinant, reduced echelon
-form and kernels together and caches the eliminated rows; kernels are
-read off them as integer vectors, with no rational echelon form in
-between, and the determinant is the signed last pivot over the row
-denominators.  ``RatMatrix.from_rows`` shares its vectors' cleared
-forms, so a matrix stacked from vectors clears nothing again.  A
+Rank, determinant, kernels and inverses all come from one fraction-free
+Gauss-Jordan loop (Bareiss) over integer-cleared rows.  Each matrix runs
+it once for rank, determinant, pivot columns and kernels together and
+caches the eliminated rows; kernels are read off them as integer
+vectors, with no rational echelon form in between, and the determinant
+is the signed last pivot over the row denominators.
+``RatMatrix.from_rows`` shares its vectors' cleared forms, so a matrix
+stacked from vectors clears nothing again.  A
 matrix's width is part of its value, so one with no rows keeps it.  The
 span enumerator scans the primitive integer directions of its vectors,
 not the vectors themselves, so each subset costs one elimination on
@@ -39,17 +39,16 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateSpan, InternalFault, NotSquare, RankMismatch, Singular
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def _as_rational(x) -> Fraction:
-    """Coerce int or Fraction; reject floats to keep arithmetic exact."""
+    """Coerce int or Fraction; reject bool, a flag and not a number, and
+    float, to keep arithmetic exact."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
@@ -224,8 +223,8 @@ class RatMatrix:
     @cached_property
     def _echelon(self) -> tuple[list[list[int]], int, int, tuple[int, ...]]:
         """The cleared rows after one Bareiss elimination, the sign of its
-        row swaps, the last pivot p and the pivot columns; rank, det, rref
-        and kernels all read it, and none of them mutates the rows."""
+        row swaps, the last pivot p and the pivot columns; rank, det, the
+        pivot columns and kernels all read it, and none mutates the rows."""
         a = [list(ints) for _, ints in self._integer_rows]
         _, sign, p, pivots = _bareiss(a)
         return a, sign, p, pivots
@@ -377,14 +376,7 @@ def det(m: RatMatrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# echelon forms, kernels, inverses
-
-
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
-    a, _, p, pivots = m._echelon
-    return RatMatrix([[Fraction(x, p) for x in row] for row in a],
-                     cols=m.cols), pivots
+# kernels, inverses
 
 
 def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
@@ -568,14 +560,9 @@ def dual_lattice_basis(b: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(b.inverse.transpose())
 
 
-def lattice_coordinates(b: LatticeBasis, v: RatVector) -> RatVector:
-    """Coordinates of v in the basis, exact."""
-    return b.inverse @ v
-
-
 def lattice_contains(b: LatticeBasis, v: RatVector) -> bool:
     """True when v is an integer combination of the basis vectors."""
-    return all(c.denominator == 1 for c in lattice_coordinates(b, v))
+    return all(c.denominator == 1 for c in b.inverse @ v)
 
 
 def same_lattice(a: LatticeBasis, b: LatticeBasis) -> bool:

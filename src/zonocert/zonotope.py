@@ -10,12 +10,11 @@ every d <= 3, using no zonotope combinatorics at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
-                     InvalidZonotope, SpanDeficient, ZeroDirection)
+                     InvalidZonotope, SpanDeficient)
 from .ratgeom import (RatMatrix, RatVector, _as_index, _clear, _pivot,
                       canonical_direction, independent_spans, kernel_basis,
                       kernel_line, rank, zero_vector)
@@ -156,13 +155,6 @@ def venkov_check(z: Zonotope) -> VenkovReport:
                         witnesses=witnesses)
 
 
-def support_value(z: Zonotope, direction: RatVector) -> Fraction:
-    """Support function of the zonotope, half the sum of |direction . v|."""
-    if direction.is_zero():
-        raise ZeroDirection("support direction must be nonzero")
-    return sum((abs(direction.dot(g)) for g in z.generators), _ZERO) * _HALF
-
-
 # ---------------------------------------------------------------------------
 # independent hull oracle
 
@@ -233,30 +225,3 @@ def vertices_oracle(z: Zonotope) -> tuple[RatVector, ...]:
             nxt.append(tuple(a - b for a, b in zip(s, half)))
         sums = nxt
     return tuple(RatVector(p) for p in _extreme_points(sums))
-
-
-def hull_facet_planes(points: list[RatVector]) -> tuple[tuple[RatVector, Fraction], ...]:
-    """Supporting hyperplanes of conv(points) spanned by d of the points.
-
-    Returns (outward normal, support) pairs with canonical integer
-    normals; both members of an opposite facet pair appear.  Intended as
-    an independent cross-check against facet enumeration.
-    """
-    if not points:
-        return ()
-    d = points[0].dim
-    found: dict[tuple, tuple[RatVector, Fraction]] = {}
-    for subset in itertools.combinations(points, d):
-        diffs = [q - subset[0] for q in subset[1:]]
-        m = RatMatrix.from_rows(diffs, cols=d)
-        if rank(m) != d - 1:
-            continue
-        normal = kernel_line(m)
-        values = [normal.dot(q) for q in points]
-        h = normal.dot(subset[0])
-        if max(values) == h:
-            found[(normal.entries, h)] = (normal, h)
-        if min(values) == h:
-            neg = -normal
-            found[(neg.entries, -h)] = (neg, -h)
-    return tuple(found[k] for k in sorted(found))

@@ -20,12 +20,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import HEXAGONAL, NON_DICING, RHOMBIC, mat, normal_set, vec, zono
-from zonocert import (NormalSet, apply_affine, certify_second_voronoi,
-                      compute_edge_set, delone_duality_check, dv_cell_oracle,
-                      dv_zonotope, facets, hull_facet_planes, is_totally_unimodular,
-                      kernel_line, lattice_of_dicing, quadratic_form, rank,
-                      unimodular_representation, venkov_check, verify_certificate,
-                      vertices_oracle)
+from oracles import apply_affine, hull_facet_planes
+from zonocert import (NormalSet, certify_second_voronoi, compute_edge_set,
+                      delone_duality_check, dv_cell_oracle, dv_zonotope,
+                      facets, is_totally_unimodular, kernel_line,
+                      lattice_of_dicing, quadratic_form, rank,
+                      unimodular_representation, venkov_check,
+                      verify_certificate, vertices_oracle)
 from zonocert.cli import bundled_corpus_path
 from zonocert.dicing import NotADicing
 from zonocert.jsonio import parse_normal_set, parse_rational

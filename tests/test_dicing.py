@@ -8,17 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (EdgeSet, NormalSet, RatMatrix, apply_affine,
-                      compute_edge_set,
-                      det, first_basis_indices, hnf_lattice_basis, inverse,
-                      is_totally_unimodular, lattice_of_dicing, rank,
-                      same_lattice, unimodular_representation)
+from zonocert import (EdgeSet, NormalSet, RatMatrix, Zonotope,
+                      compute_edge_set, det, first_basis_indices,
+                      hnf_lattice_basis, inverse, is_totally_unimodular,
+                      lattice_of_dicing, rank, same_lattice,
+                      unimodular_representation)
 from zonocert import ratgeom
-from zonocert.errors import (InvalidNormalSet, NonIntegerEntries, NotADicing,
+from zonocert.errors import (DegenerateSpan, InvalidNormalSet, InvalidZonotope,
+                             NonIntegerEntries, NotADicing, NotSquare,
                              RepresentationCheckFailed, Singular)
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
+from oracles import apply_affine
 
 # the cographic dicing of K3,3: 9 normals in dimension 4, 15 edge lines
 COGRAPHIC_K33 = [(1, 1, 1, 1), (-1, 0, -1, 0), (0, -1, 0, -1), (-1, -1, 0, 0),
@@ -58,6 +60,27 @@ def test_normal_set_rejects_nonpositive_weight():
 def test_normal_set_rejects_dimension_mismatch():
     with pytest.raises(InvalidNormalSet):
         NormalSet(3, (vec(1, 0), vec(0, 1)), (Fraction(1), Fraction(1)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: NormalSet(0, (), ()), InvalidNormalSet,
+     "dimension must be at least 1"),
+    (lambda: EdgeSet(2, (vec(1, 0),), ()), ValueError,
+     "one provenance subset per edge required"),
+    (lambda: RatMatrix.from_columns([]), ValueError, "no columns"),
+    (lambda: inverse(mat([[1, 0, 0], [0, 1, 0]])), NotSquare,
+     "inverse of a 2x3 matrix"),
+    (lambda: hnf_lattice_basis([]), DegenerateSpan, "no generators"),
+    (lambda: hnf_lattice_basis([vec(1, 0), vec(1)]), ValueError,
+     "generators of mixed dimension"),
+    (lambda: Zonotope(2, (vec(1, 0), vec(0, 1, 0))), InvalidZonotope,
+     "generator 1 has dimension 3, expected 2")],
+    ids=["normal-set-dimension", "edge-provenance-count", "no-columns",
+         "inverse-not-square", "hnf-no-generators", "hnf-mixed-dimension",
+         "zonotope-generator-dimension"])
+def test_constructors_refuse_malformed_shapes(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_normal_set_takes_int_and_fraction_weights_only():

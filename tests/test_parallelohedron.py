@@ -935,6 +935,7 @@ def test_verifier_names_each_forged_invariant(rows, forge):
     bad, message = forge(certify_second_voronoi(normal_set(rows)))
     audit = verify_certificate(bad)
     assert not audit.ok
+    assert not audit, "a failed audit must be falsy"
     assert message in audit.failures
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (LatticeBasis, RatMatrix, RatVector, canonical_direction,
-                      det, dual_lattice_basis, hnf_lattice_basis, inverse,
-                      kernel_basis, kernel_line, lattice_contains,
-                      lattice_coordinates, rank, rref, same_lattice)
+from zonocert import (LatticeBasis, NormalSet, RatMatrix, RatVector,
+                      canonical_direction, det, dual_lattice_basis,
+                      hnf_lattice_basis, inverse, kernel_basis, kernel_line,
+                      lattice_contains, rank, same_lattice)
 from zonocert.errors import (DegenerateSpan, InternalFault, NotSquare,
                              RankMismatch, Singular)
 from zonocert import ratgeom
@@ -21,6 +21,7 @@ from zonocert.ratgeom import (_bareiss_det, _pivot, first_parallel_pair,
                               independent_spans)
 
 from conftest import mat, vec
+from oracles import rref
 
 
 def naive_det(rows):
@@ -169,6 +170,17 @@ def test_a_matrix_without_rows_needs_a_non_negative_int_width():
     with pytest.raises(TypeError, match="expected int, got float"):
         RatMatrix([], cols=2.0)
     assert RatMatrix([], cols=0).cols == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RatVector([True, False]),
+    lambda: RatMatrix([[1, False]]),
+    lambda: vec(1, 2).scale(True),
+    lambda: NormalSet(2, (vec(1, 0), vec(0, 1)), (True, 1))],
+    ids=["vector", "matrix", "scale", "weight"])
+def test_a_rational_is_never_a_bool(build):
+    with pytest.raises(TypeError, match="^expected int or Fraction, got bool$"):
+        build()
 
 
 def test_transpose_and_scale_keep_the_width():
@@ -785,7 +797,7 @@ def test_lattice_membership_and_coordinates():
     b = hnf_lattice_basis([vec(1, 1), vec(1, -1)])
     inside = vec(2, 0)
     assert lattice_contains(b, inside)
-    coords = lattice_coordinates(b, inside)
+    coords = b.inverse @ inside
     assert all(c.denominator == 1 for c in coords.entries)
     assert not lattice_contains(b, vec(1, 0))
 
@@ -800,7 +812,7 @@ def test_lattice_basis_rejects_bad_matrices():
 def test_lattice_basis_inverts_once_outside_equality_and_repr():
     b = LatticeBasis(mat([[2, 1], [0, 1]]))
     assert b.basis @ b.inverse == RatMatrix.identity(2)
-    assert lattice_coordinates(b, vec(3, 1)) == vec(1, 1)
+    assert b.inverse @ vec(3, 1) == vec(1, 1)
     assert b == LatticeBasis(mat([[2, 1], [0, 1]]))
     assert "inverse" not in repr(b)
     with pytest.raises(Singular, match="^lattice basis columns are dependent$"):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonocert import (RatMatrix, RatVector, Zonotope, facets,
-                      hull_facet_planes, rank, ridge_classification,
-                      support_value, venkov_check, vertices_oracle)
+from zonocert import (RatMatrix, RatVector, Zonotope, facets, rank,
+                      ridge_classification, venkov_check, vertices_oracle)
 from zonocert.errors import (DimensionTooLarge, DimensionTooSmall,
-                             InvalidZonotope, SpanDeficient, ZeroDirection)
+                             InvalidZonotope, SpanDeficient)
 from zonocert.zonotope import (HEXAGON, OTHER, PARALLELOGRAM, _extreme_points,
                                _in_convex_hull)
 
 from conftest import vec, zono
+from oracles import hull_facet_planes
 
 HEX_GENERATORS = [("2/3", "-1/3"), ("-1/3", "2/3"), ("1/3", "1/3")]
 HEX_VERTICES = {vec("2/3", "-1/3"), vec("-2/3", "1/3"), vec("1/3", "1/3"),
@@ -171,29 +171,6 @@ def test_venkov_counterexample_reports_witnesses():
     witness_flats = {r.flat for r in report.witnesses}
     assert (2,) in witness_flats
     assert all(r.classification == OTHER for r in report.witnesses)
-
-
-# ---------------------------------------------------------------------------
-# support values
-
-
-def test_cube_support_along_diagonal():
-    assert support_value(zono(CUBE), vec(1, 1, 1)) == Fraction(3, 2)
-
-
-def test_hexagon_support_along_axis():
-    assert support_value(zono(HEX_GENERATORS), vec(1, 0)) == Fraction(2, 3)
-
-
-def test_support_is_homogeneous():
-    z = zono(HEX_GENERATORS)
-    base = support_value(z, vec(1, -2))
-    assert support_value(z, vec(3, -6)) == 3 * base
-
-
-def test_support_rejects_zero_direction():
-    with pytest.raises(ZeroDirection):
-        support_value(zono(CUBE), vec(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
