@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every zonocert module.
 
-Every domain failure derives from ZonocertError.  The errors hold data
-only: a witness, a stage or a location.  jsonio.error_to_json renders
-them as the JSON payload the command line writes on exit 2.
+Every domain failure derives from ZonocertError, which jsonio.error_to_json
+renders as the payload the command line writes on exit 2.  SchemaError,
+the input-format error, is not one: it exits 1.  All hold data only.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class CertificationError(ZonocertError):
         self.cause = cause
 
 
-class SchemaError(ZonocertError):
+class SchemaError(Exception):
     """Input JSON does not match a documented schema.
 
     ``location`` is a dotted path into the offending document.

@@ -2,12 +2,12 @@
 
 This module builds every JSON document the command line writes: the
 library types, the facets, venkov and dv-cell reports, and the payload
-of a domain error.  Rationals travel as strings "p/q" (the "/q" part
-omitted for integers), so no float ever enters or leaves a document.
-Every top-level document except an error payload carries a "schema"
-version field; emission is deterministic, so equal values produce
-byte-identical output.  Parsers raise SchemaError naming the offending
-field by a dotted location path.
+of a domain error, and it reads the corpus file format.  Rationals
+travel as strings "p/q" (the "/q" part omitted for integers), so no
+float ever enters or leaves a document.  Every top-level document
+except an error payload carries a "schema" version field; emission is
+deterministic, so equal values produce byte-identical output.  Parsers
+raise SchemaError naming the offending field by a dotted location path.
 """
 
 from __future__ import annotations
@@ -59,24 +59,19 @@ def vector_to_json(v: RatVector) -> list[str]:
     return [rational_to_str(e) for e in v.entries]
 
 
-def parse_vector(obj, location: str, dim: int | None = None) -> RatVector:
+def parse_vector(obj, location: str, dim: int) -> RatVector:
     if not isinstance(obj, list):
         raise SchemaError(location, "expected a list of rational strings")
-    if dim is not None and len(obj) != dim:
+    if len(obj) != dim:
         raise SchemaError(location, f"expected {dim} entries, got {len(obj)}")
     return RatVector(parse_rational(e, f"{location}[{k}]")
                      for k, e in enumerate(obj))
 
 
-def _expect_object(obj, location: str) -> dict:
-    if not isinstance(obj, dict):
-        raise SchemaError(location, "expected a JSON object")
-    return obj
-
-
-def _expect_list(obj, location: str) -> list:
-    if not isinstance(obj, list):
-        raise SchemaError(location, "expected a JSON array")
+def _expect(obj, kind: type, location: str):
+    if not isinstance(obj, kind):
+        raise SchemaError(location, "expected a JSON "
+                          + ("object" if kind is dict else "array"))
     return obj
 
 
@@ -88,7 +83,7 @@ def _field(doc: dict, key: str, location: str):
 
 def _parse_indices(obj, location: str) -> tuple[int, ...]:
     """A list of JSON integers; booleans, floats and strings are refused."""
-    obj = _expect_list(obj, location)
+    obj = _expect(obj, list, location)
     if not all(isinstance(i, int) and not isinstance(i, bool) for i in obj):
         raise SchemaError(location, "expected integer indices")
     return tuple(obj)
@@ -103,7 +98,7 @@ def _parse_dim(doc: dict, location: str) -> int:
 
 def _header(doc, location: str) -> tuple[dict, int]:
     """The object, schema and dim checks every v1 document starts with."""
-    doc = _expect_object(doc, location)
+    doc = _expect(doc, dict, location)
     if "schema" in doc and doc["schema"] != SCHEMA_VERSION:
         raise SchemaError(f"{location}.schema",
                           f"unsupported schema {doc['schema']!r}, "
@@ -111,11 +106,16 @@ def _header(doc, location: str) -> tuple[dict, int]:
     return doc, _parse_dim(doc, location)
 
 
+def _items(doc: dict, key: str, location: str, parse) -> list:
+    """The list field ``key``, each item parsed by ``parse(item, location)``."""
+    loc = f"{location}.{key}"
+    raw = _expect(_field(doc, key, location), list, loc)
+    return [parse(v, f"{loc}[{k}]") for k, v in enumerate(raw)]
+
+
 def _vectors(doc: dict, key: str, location: str, dim: int) -> list[RatVector]:
     """The list field ``key`` of vectors with ``dim`` entries each."""
-    loc = f"{location}.{key}"
-    raw = _expect_list(_field(doc, key, location), loc)
-    return [parse_vector(v, f"{loc}[{k}]", dim) for k, v in enumerate(raw)]
+    return _items(doc, key, location, lambda v, loc: parse_vector(v, loc, dim))
 
 
 def dumps(doc) -> str:
@@ -141,10 +141,7 @@ def normal_set_to_json(ns: NormalSet) -> dict:
 def parse_normal_set(doc, location: str = "$") -> NormalSet:
     doc, dim = _header(doc, location)
     normals = _vectors(doc, "normals", location, dim)
-    weights_raw = _expect_list(_field(doc, "weights", location),
-                               f"{location}.weights")
-    weights = [parse_rational(w, f"{location}.weights[{k}]")
-               for k, w in enumerate(weights_raw)]
+    weights = _items(doc, "weights", location, parse_rational)
     return NormalSet(dim, normals, weights)
 
 
@@ -158,9 +155,7 @@ def parse_edge_set(doc, location: str = "$") -> EdgeSet:
     doc, dim = _header(doc, location)
     edges = _vectors(doc, "edges", location, dim)
     prov_loc = f"{location}.provenance"
-    prov_raw = _expect_list(_field(doc, "provenance", location), prov_loc)
-    provenance = [_parse_indices(sub, f"{prov_loc}[{k}]")
-                  for k, sub in enumerate(prov_raw)]
+    provenance = _items(doc, "provenance", location, _parse_indices)
     for k, sub in enumerate(provenance):
         if len(sub) != dim - 1 or min(sub, default=0) < 0 or \
                 list(sub) != sorted(set(sub)):
@@ -194,7 +189,7 @@ def lattice_to_json(lat: LatticeBasis) -> dict:
 
 def parse_lattice(doc, location: str = "$") -> LatticeBasis:
     doc, dim = _header(doc, location)
-    count = len(_expect_list(_field(doc, "basis", location), f"{location}.basis"))
+    count = len(_expect(_field(doc, "basis", location), list, f"{location}.basis"))
     if count != dim:
         raise SchemaError(f"{location}.basis",
                           f"expected {dim} basis vectors, got {count}")
@@ -223,7 +218,7 @@ def certificate_to_json(cert: VoronoiCertificate, verified: bool) -> dict:
 def _parse_part(doc: dict, key: str, parse, dim: int, location: str):
     """Parse the sub-document ``key``, which must have dimension ``dim``."""
     loc = f"{location}.{key}"
-    sub = _expect_object(_field(doc, key, location), loc)
+    sub = _expect(_field(doc, key, location), dict, loc)
     if _parse_dim(sub, loc) != dim:
         raise SchemaError(f"{loc}.dim",
                           f"expected the certificate dimension {dim}")
@@ -236,7 +231,7 @@ def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, boo
     es = _parse_part(doc, "edge_set", parse_edge_set, dim, location)
     z = _parse_part(doc, "zonotope", parse_zonotope, dim, location)
     fv_loc = f"{location}.facet_vectors"
-    fv_doc = _expect_object(_field(doc, "facet_vectors", location), fv_loc)
+    fv_doc = _expect(_field(doc, "facet_vectors", location), dict, fv_loc)
     vectors = tuple(_vectors(fv_doc, "vectors", fv_loc, dim))
     # facet vector k belongs to facet pair k, as written
     if _parse_indices(_field(fv_doc, "facet_link", fv_loc),
@@ -245,13 +240,8 @@ def parse_certificate(doc, location: str = "$") -> tuple[VoronoiCertificate, boo
                           f"expected 0..n-1 for the n = {len(vectors)} "
                           "facet vectors")
     fv = FacetVectorSet(vectors)
-    bij = []
-    for k, item in enumerate(_expect_list(_field(doc, "ne_bijection", location),
-                                          f"{location}.ne_bijection")):
-        loc = f"{location}.ne_bijection[{k}]"
-        item = _expect_object(item, loc)
-        bij.append(_parse_indices([item.get(key) for key in
-                                   ("edge", "vector", "sign")], loc))
+    bij = _items(doc, "ne_bijection", location, lambda item, loc: _parse_indices(
+        [_expect(item, dict, loc).get(k) for k in ("edge", "vector", "sign")], loc))
     lat = _parse_part(doc, "lattice", parse_lattice, dim, location)
     idx = _parse_indices(_field(doc, "basis_indices", location),
                          f"{location}.basis_indices")
@@ -272,7 +262,7 @@ def detect_payload(doc, location: str = "$") -> str:
     Returns one of "normal_set", "edge_set", "zonotope", "lattice",
     "certificate"; raises SchemaError for unrecognizable documents.
     """
-    doc = _expect_object(doc, location)
+    doc = _expect(doc, dict, location)
     if "normals" in doc and "weights" in doc:
         return "normal_set"
     if "edges" in doc:
@@ -285,6 +275,58 @@ def detect_payload(doc, location: str = "$") -> str:
         return "certificate"
     raise SchemaError(location, "unrecognizable document; expected one of "
                       "normal_set, edge_set, zonotope, lattice, certificate")
+
+
+# ---------------------------------------------------------------------------
+# corpus files
+
+
+def _parse_name(obj, location: str) -> str:
+    if not isinstance(obj, str) or not obj:
+        raise SchemaError(location, "expected a non-empty string")
+    return obj
+
+
+def _parse_count(obj, location: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise SchemaError(location, f"expected an integer, got {obj!r}")
+    return obj
+
+
+# The counts a corpus entry may pin, in the order of a corpus line: parser,
+# value on a certificate, and phrase on the line.
+CORPUS_COUNTS = {
+    "edge_pairs": (_parse_count, lambda c: len(c.edge_set.edges),
+                   "{} edge pairs"),
+    "facet_pairs": (_parse_count, lambda c: len(c.facet_vectors.vectors),
+                    "{} facet pairs"),
+    "det": (parse_rational, lambda c: c.lattice_coordinate_det, "det {}"),
+}
+
+
+def parse_corpus(doc, location: str = "$") -> list[tuple[str, dict, object, str]]:
+    """Each entry as (name, expected outcome with parsed values, normal_set
+    document, its location).  The normal_set is left unparsed, as an entry
+    may expect the domain error that parsing it raises."""
+    entries, names = [], set()
+    for k, entry in enumerate(_expect(doc, list, location)):
+        loc = f"{location}[{k}]"
+        name = _parse_name(_expect(entry, dict, loc).get("name"), f"{loc}.name")
+        if name in names:
+            raise SchemaError(f"{loc}.name", f"duplicate entry name {name!r}")
+        names.add(name)
+        raw = _expect(entry.get("expected", {}), dict, f"{loc}.expected")
+        expected = {}
+        for key, value in raw.items():
+            at = f"{loc}.expected.{key}"
+            if key != "error" and (key not in CORPUS_COUNTS or "error" in raw):
+                raise SchemaError(at, "expected an error alone or some of "
+                                      + ", ".join(CORPUS_COUNTS))
+            parse = _parse_name if key == "error" else CORPUS_COUNTS[key][0]
+            expected[key] = parse(value, at)
+        entries.append((name, expected, _field(entry, "normal_set", loc),
+                        f"{loc}.normal_set"))
+    return entries
 
 
 # ---------------------------------------------------------------------------

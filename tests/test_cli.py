@@ -604,6 +604,14 @@ def test_corpus_expected_error_entry_passes(run, tmp_path):
     assert "NotADicing" in out
 
 
+def test_corpus_compares_det_as_a_rational(run, tmp_path):
+    entry = {"name": "hex", "normal_set": HEX_DOC, "expected": {"det": "2/2"}}
+    code, out, _ = run("corpus", write_doc(tmp_path, "corpus.json", [entry]))
+    assert code == 0
+    assert out == (f"{'hex':<28} pass  3 edge pairs, 3 facet pairs, det 1\n"
+                   "1 entries, 1 passed, 0 failed\n")
+
+
 def test_corpus_surprise_success_fails(run, tmp_path):
     entry = {
         "name": "mislabeled",
@@ -635,9 +643,26 @@ def test_corpus_fails_what_the_verifier_rejects(run, tmp_path, monkeypatch):
     entry = {"name": "forged", "normal_set": HEX_DOC, "expected": {}}
     code, out, _ = run("corpus", write_doc(tmp_path, "corpus.json", [entry]))
     assert code == 2
-    assert out.splitlines()[0] == cli._corpus_line(
-        "forged", "FAIL", "verifier rejected: forged")
+    assert out.splitlines()[0] == \
+        f"{'forged':<28} FAIL  verifier rejected: forged"
     assert out.strip().splitlines()[-1] == "1 entries, 0 passed, 1 failed"
+
+
+def _count_certify_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(ns):
+        calls.append(ns)
+        return parallelohedron.certify_second_voronoi(ns)
+    monkeypatch.setattr(cli, "certify_second_voronoi", counting)
+    return calls
+
+
+def _expecting(doc, expected):
+    return [{"name": "a", "normal_set": doc, "expected": expected}]
+
+
+SQUARE_DOC = dict(HEX_DOC, normals=[["1", "0"], ["0", "1"]], weights=["1", "1"])
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -647,13 +672,40 @@ def test_corpus_fails_what_the_verifier_rejects(run, tmp_path, monkeypatch):
     ([{"name": "a", "normal_set": HEX_DOC, "expected": []}], "$[0].expected: "),
     ([{"name": "a", "normal_set": {"dim": 2, "weights": ["1"]}}],
      "$[0].normal_set.normals: missing field"),
+    (_expecting(SQUARE_DOC, {"edge_pair": 99, "dett": "7"}),
+     "$[0].expected.edge_pair: "),
+    (_expecting(SQUARE_DOC, {"edge_pairs": "2"}), "$[0].expected.edge_pairs: "),
+    (_expecting(HEX_DOC, {"edge_pairs": True}), "$[0].expected.edge_pairs: "),
+    (_expecting(HEX_DOC, {"facet_pairs": 3.0}), "$[0].expected.facet_pairs: "),
+    (_expecting(NON_DICING_DOC, {"error": "NotADicing", "edge_pairs": 5}),
+     "$[0].expected.edge_pairs: "),
+    (_expecting(NON_DICING_DOC, {"det": "1", "error": "NotADicing"}),
+     "$[0].expected.det: "),
+    (_expecting(NON_DICING_DOC, {"error": 3}), "$[0].expected.error: "),
+    (_expecting(HEX_DOC, {"det": 1}), "$[0].expected.det: "),
+    (_expecting(HEX_DOC, {"det": "1/0"}), "$[0].expected.det: "),
 ])
-def test_corpus_rejects_malformed_entries(run, tmp_path, entries, message):
+def test_corpus_rejects_malformed_entries(run, tmp_path, monkeypatch, entries,
+                                          message):
+    calls = _count_certify_calls(monkeypatch)
     src = write_doc(tmp_path, "corpus.json", entries)
     code, out, err = run("corpus", src)
     assert code == 1
     assert out == ""
     assert err.startswith(f"zonocert: {message}")
+    assert len(err.splitlines()) == 1
+    assert calls == []
+
+
+def test_corpus_refuses_a_duplicate_name_before_any_entry_runs(run, tmp_path,
+                                                               monkeypatch):
+    calls = _count_certify_calls(monkeypatch)
+    entries = [{"name": "hex", "normal_set": HEX_DOC},
+               {"name": "hex", "normal_set": RHOMBIC_DOC}]
+    code, out, err = run("corpus", write_doc(tmp_path, "corpus.json", entries))
+    assert (code, out, err) == (
+        1, "", "zonocert: $[1].name: duplicate entry name 'hex'\n")
+    assert calls == []
 
 
 def test_console_script_runs():

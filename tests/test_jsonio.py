@@ -308,6 +308,12 @@ def test_detect_payload_kinds():
 # ownership of the format
 
 
+def test_a_schema_error_is_not_a_domain_error():
+    # the class says what the command line does: exit 1, not the exit 2
+    # and JSON payload of a ZonocertError
+    assert not issubclass(SchemaError, errors.ZonocertError)
+
+
 def test_errors_module_holds_data_only():
     # jsonio renders the error payloads; errors imports no zonocert module
     # and defines no payload method

@@ -1,7 +1,8 @@
 """What the package ships: only code that a verb, the verifier or a
-library entry point runs."""
+library entry point runs, importing only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import zonocert
@@ -10,13 +11,17 @@ import zonocert
 # entry points: the benchmark harness calls both
 ENTRY_POINTS = {"delone_duality_check", "parse_certificate"}
 
+# every module of the package, parsed once
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(Path(zonocert.__file__).parent.glob("*.py"))}
+# the modules other than __init__.py, which only re-exports names
+MODULES = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+
 
 def test_every_public_function_is_run_by_the_package():
     # a public top-level function that no name or attribute in the package
     # refers to runs only in tests; such oracles live in tests/oracles.py
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(zonocert.__file__).parent.glob("*.py"))
-             if path.name != "__init__.py"]
+    trees = MODULES.values()
     public = {node.name for tree in trees for node in tree.body
               if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_")}
@@ -27,3 +32,34 @@ def test_every_public_function_is_run_by_the_package():
     names = zonocert.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(zonocert, n)] == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    bad = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            bad += [f"{name}:{node.lineno}: {module}" for module in modules
+                    if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert bad == []
+
+
+def test_every_name_a_module_imports_is_used():
+    bad = []
+    for name, tree in MODULES.items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    local = (alias.asname or alias.name).partition(".")[0]
+                    imported.setdefault(local, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bad += [f"{name}:{line}: {local} is imported but never used"
+                for local, line in imported.items()
+                if local not in used and local != "annotations"]
+    assert bad == []
