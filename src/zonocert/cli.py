@@ -305,8 +305,8 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
     """
     sides: list[dict[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
     for f in facets(z):
-        k1, k2 = kernel_basis(RatMatrix.from_rows([f.normal], cols=3))
-        if det(RatMatrix.from_rows([k1, k2, f.normal])) < 0:
+        k1, k2 = kernel_basis(RatMatrix([f.normal], cols=3))
+        if det(RatMatrix([k1, k2, f.normal])) < 0:
             k1, k2 = k2, k1
         corners = _zonogon_corners(
             [z.generators[i] for i in f.generator_subset], k1, k2)

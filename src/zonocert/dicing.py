@@ -60,7 +60,7 @@ class NormalSet:
         pair = first_parallel_pair(self.normals)
         if pair is not None:
             raise InvalidNormalSet("normals {} and {} are parallel".format(*pair))
-        if rank(RatMatrix.from_rows(self.normals)) != d:
+        if rank(RatMatrix(self.normals)) != d:
             raise InvalidNormalSet("normals do not span the space")
 
 

@@ -68,10 +68,10 @@ class QuadraticForm:
         m = self.matrix
         if m.rows != m.cols:
             raise NotPositiveDefinite("form matrix must be square")
-        if m.entries != m.transpose().entries:
+        if m != m.transpose():
             raise NotPositiveDefinite("form matrix must be symmetric")
         # a positive common scale keeps the sign of every leading minor
-        _schur_blocks(_common_cleared(m.entries)[1])
+        _schur_blocks(_common_cleared(m.row_vectors)[1])
 
     @property
     def dimension(self) -> int:
@@ -84,8 +84,8 @@ class QuadraticForm:
 def quadratic_form(ns: NormalSet) -> QuadraticForm:
     """Weighted sum of rank one forms, one per hyperplane family:
     Q = N^T (W N) with the normals as rows of N and diagonal weights W."""
-    n = RatMatrix.from_rows(ns.normals)
-    wn = RatMatrix.from_rows([v.scale(w) for v, w in zip(ns.normals, ns.weights)])
+    n = RatMatrix(ns.normals)
+    wn = RatMatrix([v.scale(w) for v, w in zip(ns.normals, ns.weights)])
     return QuadraticForm(n.transpose() @ wn)
 
 
@@ -329,7 +329,7 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm) -> list[VertexDuality]:
         raise DimensionMismatch(
             f"form of dimension {q.dimension} on a lattice of dimension {d}")
     b = lattice.basis
-    s, gram = _common_cleared((b.transpose() @ (q.matrix @ b)).entries)
+    s, gram = _common_cleared((b.transpose() @ (q.matrix @ b)).row_vectors)
     # Phi of the basis vectors and of their pairwise sums.  By Babai's bound
     # (Combinatorica 6, 1986) every vertex has 4s phi(x) <= s sum phi(b_i*)
     # <= 3 max(norms) in d <= 3, so the 4 * peak guard below always holds.
@@ -346,7 +346,7 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm) -> list[VertexDuality]:
     # phi, the first points seen of a class are its shortest; ties break by
     # t Bc, in the order of the entries of Bc as t > 0, so vertices are
     # found, and a failing one is named, in the order of space coordinates.
-    t, rows = _common_cleared(b.entries)
+    t, rows = _common_cleared(b.row_vectors)
     image = {c: tuple(sum(map(mul, r, c)) for r in rows) for c, _ in enumerated}
     enumerated.sort(key=lambda item: (item[1], image[item[0]]))
     shortest: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
@@ -461,7 +461,7 @@ def delone_duality_check(ns: NormalSet) -> DualityReport:
     cells = _cell_data(lat, q)
     for cell in cells:
         first, *rest = cell.equidistant
-        if rank(RatMatrix.from_rows([p - first for p in rest], cols=d)) != d:
+        if rank(RatMatrix([p - first for p in rest], cols=d)) != d:
             raise DualityViolation(
                 f"equidistant set of vertex {cell.vertex.entries} "
                 "does not affinely span")
@@ -535,8 +535,14 @@ class CertificateAudit:
 def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
     """Re-check every certificate invariant from the raw fields alone.
 
-    Runs no pipeline code beyond formula evaluation, so a certificate
-    forged or corrupted after certification is caught here.
+    It reruns no certify stage that searches: no edge set scan and no
+    facet enumeration, so a certificate forged or corrupted after
+    certification is caught here.  It does reuse pipeline code:
+    ``quadratic_form`` and ``zone_vectors`` for the form and the
+    generators, ``hnf_lattice_basis``, ``dual_lattice_basis`` and
+    ``same_lattice`` for the dicing lattice, and ``rank``, ``inverse``,
+    ``det`` and ``lattice_contains`` for the linear algebra.  A checker
+    that shares no code with the pipeline is ROADMAP item 6.
     """
     ns, es, fv = cert.normal_set, cert.edge_set, cert.facet_vectors
     d = ns.dimension
@@ -575,7 +581,7 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
         elif any(ns.normals[i].dot(e) != 0 for i in sub):
             bad.append(f"provenance {sub} of edge {k} holds a normal "
                        "that pairs nonzero with it")
-        elif len(sub) != d - 1 or rank(RatMatrix.from_rows(
+        elif len(sub) != d - 1 or rank(RatMatrix(
                 [ns.normals[i] for i in sub], cols=d)) != d - 1:
             bad.append(f"provenance {sub} of edge {k} does not have "
                        f"rank {d - 1}")
@@ -597,7 +603,7 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
                            "supporting plane")
                 continue
             on_facet = [g for g, p in zip(gens, products) if p == 0]
-            if rank(RatMatrix.from_rows(on_facet, cols=d)) != d - 1:
+            if rank(RatMatrix(on_facet, cols=d)) != d - 1:
                 bad.append(f"facet vector {lam.entries} bisects no facet")
     except ZonocertError as err:
         bad.append(f"quadratic form rejected: {err}")

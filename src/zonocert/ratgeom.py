@@ -1,19 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Vectors and matrices store ``fractions.Fraction`` entries, so every rank,
-determinant, kernel, and Hermite form below is computed without rounding.
-Each vector, and each matrix row, clears its denominators once and caches
-the result: one common denominator with a tuple of integer numerators.  A
-dot product or a matrix-vector product is then one integer sum and one
-``Fraction`` per entry.
+Vectors store ``fractions.Fraction`` entries, and a matrix is its tuple of
+row vectors, so every rank, determinant, kernel, and Hermite form below is
+computed without rounding.  Each vector clears its denominators once and
+caches the result: one common denominator with a tuple of integer
+numerators.  A dot product or a matrix-vector product is then one integer
+sum and one ``Fraction`` per entry.
 Rank, determinant, kernels and inverses all come from one fraction-free
 Gauss-Jordan loop (Bareiss) over integer-cleared rows.  Each matrix runs
 it once for rank, determinant, pivot columns and kernels together and
 caches the eliminated rows; kernels are read off them as integer
 vectors, with no rational echelon form in between, and the determinant
 is the signed last pivot over the row denominators.
-``RatMatrix.from_rows`` shares its vectors' cleared forms, so a matrix
-stacked from vectors clears nothing again.  A
+A matrix keeps each row given as a vector, cleared form included, so a
+matrix stacked from vectors clears nothing again.  A
 matrix's width is part of its value, so one with no rows keeps it.  The
 span enumerator scans the primitive integer directions of its vectors,
 not the vectors themselves, so each subset costs one elimination on
@@ -59,12 +59,6 @@ def _clear(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return s, tuple(e.numerator * (s // e.denominator) for e in entries)
 
 
-def _cleared_dot(a: tuple[int, tuple[int, ...]],
-                 b: tuple[int, tuple[int, ...]]) -> Fraction:
-    """Inner product of two cleared forms: one integer sum, one Fraction."""
-    return Fraction(sum(map(mul, a[1], b[1])), a[0] * b[0])
-
-
 def _as_index(x) -> int:
     """Accept an int as a dimension or index; reject bool, float and str
     instead of truncating or parsing them."""
@@ -97,9 +91,11 @@ class RatVector:
         return _clear(self.entries)
 
     def dot(self, other: "RatVector") -> Fraction:
+        """One integer sum over the cleared forms, one Fraction."""
         if self.dim != other.dim:
             raise ValueError("dot product of vectors of different dimension")
-        return _cleared_dot(self._integers, other._integers)
+        (s, a), (t, b) = self._integers, other._integers
+        return Fraction(sum(map(mul, a, b)), s * t)
 
     def __add__(self, other: "RatVector") -> "RatVector":
         if self.dim != other.dim:
@@ -177,34 +173,26 @@ def _width(rows: Sequence[Sequence], cols: int | None) -> int:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix, row major.  Its width is part of its
-    value: matrices with no rows and different ``cols`` differ."""
+    """Immutable rational matrix: its tuple of row vectors and its width.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Each row is given either as a ``RatVector``, kept as it is with its
+    cached cleared form, or as a sequence of ints and Fractions, coerced
+    like a vector's entries.  The width is part of the value: matrices
+    with no rows and different ``cols`` differ."""
+
+    row_vectors: tuple[RatVector, ...]
     cols: int
 
-    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(_as_rational(e) for e in row) for row in entries)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "cols", _width(rows, cols))
-
-    @classmethod
-    def from_rows(cls, vectors: Sequence[RatVector], cols: int | None = None) -> "RatMatrix":
-        """The matrix with the given rows, sharing each vector's entries and
-        cached integer form: no coercion and no clearing per entry.  The
-        width follows the same rule as the constructor's."""
-        m = cls.__new__(cls)
-        rows = tuple(v.entries for v in vectors)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "cols", _width(rows, cols))
-        vars(m)["_integer_rows"] = tuple(v._integers for v in vectors)
-        return m
+    def __init__(self, rows: Iterable[RatVector | Iterable], cols: int | None = None):
+        vs = tuple(r if isinstance(r, RatVector) else RatVector(r) for r in rows)
+        object.__setattr__(self, "row_vectors", vs)
+        object.__setattr__(self, "cols", _width(vs, cols))
 
     @classmethod
     def from_columns(cls, vectors: Sequence[RatVector]) -> "RatMatrix":
         if not vectors:
             raise ValueError("no columns")
-        return cls.from_rows(vectors).transpose()
+        return cls(vectors).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -213,12 +201,17 @@ class RatMatrix:
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.row_vectors)
 
-    @cached_property
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(v.entries for v in self.row_vectors)
+
+    @property
     def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Each row's common denominator and integer numerators, cleared once."""
-        return tuple(map(_clear, self.entries))
+        """Each row's common denominator and integer numerators, cleared
+        once per row vector."""
+        return tuple(v._integers for v in self.row_vectors)
 
     @cached_property
     def _echelon(self) -> tuple[list[list[int]], int, int, tuple[int, ...]]:
@@ -230,59 +223,52 @@ class RatMatrix:
         return a, sign, p, pivots
 
     def column(self, j: int) -> RatVector:
-        return RatVector(r[j] for r in self.entries)
+        return RatVector(v.entries[j] for v in self.row_vectors)
 
     def columns(self) -> tuple[RatVector, ...]:
         return tuple(self.column(j) for j in range(self.cols))
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
+        return RatMatrix(self.columns(), cols=self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, RatVector):
             if self.cols != other.dim:
                 raise ValueError("matrix and vector dimensions differ")
-            v = other._integers
-            return RatVector(_cleared_dot(row, v) for row in self._integer_rows)
+            return RatVector(v.dot(other) for v in self.row_vectors)
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner matrix dimensions differ")
-            cols = [_clear(c.entries) for c in other.columns()]
-            return RatMatrix([[_cleared_dot(row, c) for c in cols]
-                              for row in self._integer_rows], cols=other.cols)
+            cols = other.columns()
+            return RatMatrix([[v.dot(c) for c in cols] for v in self.row_vectors],
+                             cols=other.cols)
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
-        c = _as_rational(c)
-        return RatMatrix([[c * e for e in row] for row in self.entries],
-                         cols=self.cols)
+        return RatMatrix([v.scale(c) for v in self.row_vectors], cols=self.cols)
 
 
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 
 
-def _common_cleared(rows: Sequence[Sequence[Fraction]]
-                    ) -> tuple[int, list[list[int]]]:
-    """Scale all rows by one common denominator s, the lcm of every
-    entry's denominator; returns s and the integer rows."""
-    s = math.lcm(*(e.denominator for row in rows for e in row))
-    return s, [[e.numerator * (s // e.denominator) for e in row] for row in rows]
+def _common_cleared(rows: Sequence[RatVector]) -> tuple[int, list[list[int]]]:
+    """Scale all rows by one common denominator s, the lcm of the rows'
+    cleared denominators; returns s and the integer rows."""
+    cleared = [v._integers for v in rows]
+    s = math.lcm(*(t for t, _ in cleared))
+    return s, [[x * (s // t) for x in ints] for t, ints in cleared]
 
 
 def _primitive(ints: Sequence[int]) -> RatVector:
     """Divide a nonzero integer vector by its content, first nonzero
-    positive; the result carries its integer form already cached."""
+    positive."""
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("cannot canonicalize the zero vector")
     if next(x for x in ints if x) < 0:
         g = -g
-    reduced = tuple(x // g for x in ints)
-    v = RatVector(reduced)
-    vars(v)["_integers"] = (1, reduced)
-    return v
+    return RatVector(x // g for x in ints)
 
 
 def _pivot(a: list[list[int]], r: int, c: int, prev: int) -> None:
@@ -434,7 +420,7 @@ def independent_spans(vectors: Sequence[RatVector], k: int,
     rows = [v if v.is_zero() else canonical_direction(v) for v in vectors]
     seen = set()
     for subset in itertools.combinations(range(len(rows)), k):
-        m = RatMatrix.from_rows([rows[i] for i in subset], dim)
+        m = RatMatrix([rows[i] for i in subset], dim)
         if rank(m) != k:
             continue
         key = kernel(m)
@@ -568,4 +554,4 @@ def lattice_contains(b: LatticeBasis, v: RatVector) -> bool:
 def same_lattice(a: LatticeBasis, b: LatticeBasis) -> bool:
     """Lattice equality through canonical Hermite forms; no basis built
     from them is inverted."""
-    return _hnf_matrix(a.vectors).entries == _hnf_matrix(b.vectors).entries
+    return _hnf_matrix(a.vectors) == _hnf_matrix(b.vectors)

@@ -56,7 +56,7 @@ class Zonotope:
                 v = g.scale(1 + abs(c))
             merged[key] = v
         gens = tuple(merged.values())
-        if rank(RatMatrix.from_rows(gens, cols=d)) != d:
+        if rank(RatMatrix(gens, cols=d)) != d:
             raise SpanDeficient("generators do not span the ambient space")
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "generators", gens)

@@ -10,7 +10,7 @@ def vec(*entries) -> RatVector:
 
 
 def mat(rows) -> RatMatrix:
-    return RatMatrix.from_rows([vec(*r) for r in rows])
+    return RatMatrix([vec(*r) for r in rows])
 
 
 def normal_set(rows, weights=None) -> NormalSet:

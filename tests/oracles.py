@@ -48,7 +48,7 @@ def hull_facet_planes(points: list[RatVector]) -> tuple[tuple[RatVector, Fractio
     found: dict[tuple, tuple[RatVector, Fraction]] = {}
     for subset in itertools.combinations(points, d):
         diffs = [q - subset[0] for q in subset[1:]]
-        m = RatMatrix.from_rows(diffs, cols=d)
+        m = RatMatrix(diffs, cols=d)
         if rank(m) != d - 1:
             continue
         normal = kernel_line(m)

@@ -188,7 +188,7 @@ def test_edge_set_covers_every_corank_one_subset(rows):
     d = ns.dimension
     lines = {tuple(e.entries) for e in es.edges}
     for subset in itertools.combinations(range(len(ns.normals)), d - 1):
-        m = RatMatrix.from_rows([ns.normals[i] for i in subset], cols=d)
+        m = RatMatrix([ns.normals[i] for i in subset], cols=d)
         if rank(m) != d - 1:
             continue
         hits = [e for e in es.edges if (m @ e).is_zero()]
@@ -366,7 +366,7 @@ def greedy_basis(ns):
     """First d normals, each independent of the ones picked before it."""
     picked = []
     for i, v in enumerate(ns.normals):
-        if rank(RatMatrix.from_rows([ns.normals[j] for j in picked] + [v])) \
+        if rank(RatMatrix([ns.normals[j] for j in picked] + [v])) \
                 == len(picked) + 1:
             picked.append(i)
     return tuple(picked[:ns.dimension])

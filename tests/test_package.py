@@ -63,3 +63,24 @@ def test_every_name_a_module_imports_is_used():
                 for local, line in imported.items()
                 if local not in used and local != "annotations"]
     assert bad == []
+
+
+def test_no_module_writes_a_cache_into_another_object():
+    # a class owns its state: no assignment stores into vars(obj)[...], so
+    # every cached form is computed by the object that holds it
+    bad = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            bad += [f"{name}:{sub.lineno}" for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Subscript)
+                    and isinstance(sub.value, ast.Call)
+                    and isinstance(sub.value.func, ast.Name)
+                    and sub.value.func.id == "vars"]
+    assert bad == []

@@ -22,11 +22,13 @@ from zonocert import (EdgeSet, FacetVectorSet, LatticeBasis, NormalSet,
 from zonocert.cli import bundled_corpus_path
 from zonocert.errors import (BasisCheckFailed, CertificationError,
                              DimensionMismatch, DimensionTooLarge,
-                             EnumerationInsufficient, InvalidNormalSet,
-                             Mismatch, NotADicing, NotPositiveDefinite)
+                             DualityViolation, EnumerationInsufficient,
+                             InvalidNormalSet, Mismatch, NotADicing,
+                             NotInLattice, NotPositiveDefinite)
 from zonocert.jsonio import parse_normal_set
 from zonocert import parallelohedron
-from zonocert.parallelohedron import _short_vectors
+from zonocert.parallelohedron import (VertexDuality, _facet_vectors_from,
+                                      _short_vectors)
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
                       RHOMBIC, SQUARE, mat, normal_set, vec)
@@ -415,6 +417,34 @@ def test_facet_vectors_lie_in_the_lattice_and_bisect(rows):
         assert all(x == 0 for x in scaled)
 
 
+def _square_facet_data():
+    # the unit square: the form and the lattice are the identity, and the
+    # facet with normal (1, 0) has support 1/2 and centre (1/2, 0)
+    ns = normal_set(SQUARE)
+    f = next(f for f in facets(dv_zonotope(ns)) if f.normal == vec(1, 0))
+    assert (f.support, f.center) == (Fraction(1, 2), vec("1/2", 0))
+    return quadratic_form(ns), lattice_of_dicing(ns), f
+
+
+def test_a_facet_off_the_bisector_is_refused():
+    q, lat, f = _square_facet_data()
+    wrong = dataclasses.replace(f, support=Fraction(1))
+    with pytest.raises(NotInLattice, match="^facet with normal .* is not a "
+                                           "point bisector$"):
+        _facet_vectors_from(q, lat, (wrong,))
+
+
+def test_a_facet_vector_off_the_lattice_is_refused():
+    q, _, f = _square_facet_data()
+    coarse = LatticeBasis(mat([[2, 0], [0, 2]]))
+    assert _facet_vectors_from(q, LatticeBasis(mat(SQUARE)), (f,)).vectors \
+        == (vec(1, 0),)
+    with pytest.raises(NotInLattice, match=r"^facet vector \(Fraction\(1, 1\), "
+                                           r"Fraction\(0, 1\)\) is not a "
+                                           "lattice point$"):
+        _facet_vectors_from(q, coarse, (f,))
+
+
 def test_matching_on_hexagonal_fixture():
     ns = normal_set(HEXAGONAL)
     es = compute_edge_set(ns)
@@ -532,6 +562,29 @@ def test_duality_cube_vertex():
     half = Fraction(1, 2)
     target = {vd.vertex: vd for vd in report.entries}[vec(half, half, half)]
     assert len(target.equidistant) == 8
+
+
+def _duality_check_with_one_vertex(monkeypatch, *points):
+    # the square grid, its cell oracle replaced by one vertex with the
+    # given equidistant points
+    cell = VertexDuality(vec("1/2", "1/2"), tuple(vec(*p) for p in points),
+                         Fraction(1, 2))
+    monkeypatch.setattr(parallelohedron, "_cell_data", lambda lat, q: [cell])
+    return delone_duality_check(normal_set(SQUARE))
+
+
+def test_duality_refuses_equidistant_points_that_do_not_span(monkeypatch):
+    with pytest.raises(DualityViolation, match=r"^equidistant set of vertex "
+                       r"\(Fraction\(1, 2\), Fraction\(1, 2\)\) does not "
+                       "affinely span$"):
+        _duality_check_with_one_vertex(monkeypatch, (0, 0), (1, 0), (2, 0))
+
+
+def test_duality_refuses_an_equidistant_point_off_a_family(monkeypatch):
+    with pytest.raises(DualityViolation, match=r"^equidistant point "
+                       r"\(Fraction\(1, 2\), Fraction\(0, 1\)\) misses "
+                       "family 0$"):
+        _duality_check_with_one_vertex(monkeypatch, (0, 0), ("1/2", 0), (0, 1))
 
 
 @pytest.mark.parametrize("rows, weights", [

@@ -61,10 +61,10 @@ def matrix_rows(rows, cols, elements=rationals):
 
 
 def as_matrix(rows, cols):
-    return RatMatrix.from_rows([RatVector(r) for r in rows], cols=cols)
+    return RatMatrix([RatVector(r) for r in rows], cols=cols)
 
 
-# shapes include no rows (from_rows([], cols=k)) and a zero inner dimension
+# shapes include no rows (RatMatrix([], cols=k)) and a zero inner dimension
 @settings(max_examples=100)
 @given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
        .flatmap(lambda s: st.tuples(st.just(s), matrix_rows(s[0], s[1]),
@@ -106,12 +106,13 @@ def test_cached_integer_form_leaves_equality_and_hash_alone():
     assert "_integers" in vars(v) and "_integers" not in vars(u)
     assert v._integers == (6, (3, -4, 18))
     assert u == v and hash(u) == hash(v) == before and repr(u) == repr(v)
-    # the coercing constructor clears lazily; from_rows shares the rows'
-    # cleared forms at once
+    # a row given as a sequence clears lazily, on the matrix's first use
     row = [1, Fraction(1, 2), 0]
     m, n = RatMatrix([row]), RatMatrix([row])
     assert m @ v == vec("1/6")
-    assert "_integer_rows" in vars(m) and "_integer_rows" not in vars(n)
+    (mrow,), (nrow,) = m.row_vectors, n.row_vectors
+    assert "_integers" in vars(mrow) and "_integers" not in vars(nrow)
+    assert m._integer_rows == ((2, (2, 1, 0)),)
     assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
     assert rank(m) == 1
     assert "_echelon" in vars(m) and "_echelon" not in vars(n)
@@ -123,22 +124,23 @@ def test_cached_integer_form_leaves_equality_and_hash_alone():
     assert m._echelon[0] == cached
 
 
-def test_from_rows_shares_each_vectors_cleared_form():
+def test_one_constructor_keeps_vector_rows_and_coerces_sequence_rows():
     u, v = vec("1/2", "-2/3", 3), vec(4, 0, "1/5")
-    m = RatMatrix.from_rows([u, v, u])
+    m = RatMatrix([u, v, u])
+    assert all(a is b for a, b in zip(m.row_vectors, (u, v, u)))
     assert m.entries == (u.entries, v.entries, u.entries)
     assert all(a is b._integers for a, b in zip(m._integer_rows, (u, v, u)))
-    assert m == RatMatrix([u.entries, v.entries, u.entries])
-    assert RatMatrix.from_rows([], cols=3).cols == 3
+    mixed = RatMatrix([u.entries, v, [Fraction(1, 2), Fraction(-2, 3), 3]])
+    assert mixed == m and hash(mixed) == hash(m)
+    assert all(type(r) is RatVector for r in mixed.row_vectors)
+    assert RatMatrix([], cols=3).cols == 3
 
 
 def test_row_and_column_constructors_refuse_ragged_input():
     with pytest.raises(ValueError, match="ragged matrix"):
-        RatMatrix.from_rows([vec(1, 2), vec(1, 2, 3)])
+        RatMatrix([vec(1, 2), vec(1, 2, 3)])
     with pytest.raises(ValueError, match="ragged matrix"):
         RatMatrix([[1, 2], [1, 2, 3]])
-    with pytest.raises(ValueError, match="explicit column count"):
-        RatMatrix.from_rows([])
     with pytest.raises(ValueError, match="explicit column count"):
         RatMatrix([])
     for columns in ([vec(1, 2), vec(1)], [vec(1), vec(1, 2)]):
@@ -146,17 +148,19 @@ def test_row_and_column_constructors_refuse_ragged_input():
             RatMatrix.from_columns(columns)
 
 
-def test_both_constructors_refuse_a_width_unlike_the_rows():
+def test_both_row_shapes_refuse_a_width_unlike_the_rows():
     with pytest.raises(ValueError, match="rows of length 2 in a matrix of 3"):
-        RatMatrix.from_rows([vec(1, 2)], cols=3)
+        RatMatrix([vec(1, 2)], cols=3)
     with pytest.raises(ValueError, match="rows of length 2 in a matrix of 3"):
         RatMatrix([[1, 2]], cols=3)
-    assert RatMatrix.from_rows([vec(1, 2)], cols=2) == RatMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        RatMatrix([vec(1, 2), [1, 2, 3]])
+    assert RatMatrix([vec(1, 2)], cols=2) == RatMatrix([[1, 2]])
 
 
 def test_width_is_part_of_a_matrix_without_rows():
-    narrow = RatMatrix.from_rows([], cols=3)
-    wide = RatMatrix.from_rows([], cols=5)
+    narrow = RatMatrix([], cols=3)
+    wide = RatMatrix([], cols=5)
     assert narrow != wide and (narrow.cols, wide.cols) == (3, 5)
     assert narrow == RatMatrix([], cols=3)
     assert hash(narrow) == hash(RatMatrix([], cols=3))
@@ -166,7 +170,7 @@ def test_a_matrix_without_rows_needs_a_non_negative_int_width():
     with pytest.raises(ValueError, match="negative column count -2"):
         RatMatrix([], cols=-2)
     with pytest.raises(TypeError, match="expected int, got bool"):
-        RatMatrix.from_rows([], cols=True)
+        RatMatrix([], cols=True)
     with pytest.raises(TypeError, match="expected int, got float"):
         RatMatrix([], cols=2.0)
     assert RatMatrix([], cols=0).cols == 0
@@ -188,7 +192,7 @@ def test_transpose_and_scale_keep_the_width():
     assert (m.rows, m.cols) == (2, 0)
     t = m.transpose()
     assert (t.rows, t.cols) == (0, 2) and t.transpose() == m
-    assert RatMatrix.from_rows([], cols=4).scale(2).cols == 4
+    assert RatMatrix([], cols=4).scale(2).cols == 4
 
 
 def test_vector_sums_and_differences_refuse_mismatched_dimensions():
@@ -353,7 +357,7 @@ def test_spans_match_grouping_by_row_space(data):
     vectors = [vec(*r) for r in rows]
     first: dict = {}
     for subset in itertools.combinations(range(len(rows)), k):
-        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=len(rows[0]))
+        m = RatMatrix([vectors[i] for i in subset], cols=len(rows[0]))
         if minor_rank([list(r) for r in m.entries] or [[0]]) == k:
             first.setdefault(rref(m)[0].entries, subset)
     got = [subset for subset, _ in
@@ -383,11 +387,11 @@ def test_span_kernel_receives_the_rows_directions():
 
 
 def reference_spans(vectors, k, kernel):
-    """The span scan on the vectors as given: from_rows, rank, kernel."""
+    """The span scan on the vectors as given: RatMatrix, rank, kernel."""
     dim = vectors[0].dim
     seen, out = set(), []
     for subset in itertools.combinations(range(len(vectors)), k):
-        m = RatMatrix.from_rows([vectors[i] for i in subset], cols=dim)
+        m = RatMatrix([vectors[i] for i in subset], cols=dim)
         if rank(m) != k:
             continue
         key = kernel(m)
@@ -773,7 +777,7 @@ def test_dual_pairing_and_involution(rows):
                                 max_size=d), min_size=d, max_size=d + 2)))
 def test_hnf_idempotent(rows):
     gens = [vec(*r) for r in rows]
-    assume(rank(RatMatrix.from_rows(gens)) == len(rows[0]))
+    assume(rank(RatMatrix(gens)) == len(rows[0]))
     once = hnf_lattice_basis(gens)
     again = hnf_lattice_basis(once.vectors)
     assert once.basis == again.basis

@@ -252,13 +252,12 @@ def test_hull_membership_finds_the_same_extreme_points(line, plane):
 def test_extreme_points_in_space_are_where_three_hull_planes_meet(pts):
     # repeats, points inside and points on segments are all refused
     vectors = [RatVector(p) for p in pts]
-    assume(rank(RatMatrix.from_rows([v - vectors[0] for v in vectors],
-                                    cols=3)) == 3)
+    assume(rank(RatMatrix([v - vectors[0] for v in vectors], cols=3)) == 3)
     planes = hull_facet_planes(vectors)
 
     def is_vertex(v):
         normals = [n for n, h in planes if n.dot(v) == h]
-        return rank(RatMatrix.from_rows(normals, cols=3)) == 3
+        return rank(RatMatrix(normals, cols=3)) == 3
 
     assert _extreme_points(pts) == sorted(
         p for p in set(pts) if is_vertex(RatVector(p)))
