@@ -281,15 +281,14 @@ def _zonogon_corners(plane: list[RatVector], k1: RatVector,
     """
     half = Fraction(1, 2)
     images = [(k1.dot(g), k2.dot(g)) for g in plane]
-    corners = {}
+    corners: dict[RatVector, None] = {}
     for g, (x, y) in zip(plane, images):
         u = sum((h if x * b > y * a else -h
                  for h, (a, b) in zip(plane, images) if h is not g),
                 zero_vector(3))
         for rel in (u + g, u - g, g - u, -u - g):
-            rel = rel.scale(half)
-            corners[rel.entries] = rel
-    return list(corners.values())
+            corners[rel.scale(half)] = None
+    return list(corners)
 
 
 def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
@@ -303,7 +302,7 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
     basis serves a facet pair: (k1, k2, n) is positively oriented, and the
     opposite facet takes (k2, k1), as -n has the same kernel as n.
     """
-    sides: list[dict[tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
+    sides: list[dict[tuple[Fraction, Fraction], RatVector]] = []
     for f in facets(z):
         k1, k2 = kernel_basis(RatMatrix([f.normal], cols=3))
         if det(RatMatrix([k1, k2, f.normal])) < 0:
@@ -311,13 +310,13 @@ def _facet_polygons(z: Zonotope) -> tuple[list[RatVector], list[list[int]]]:
         corners = _zonogon_corners(
             [z.generators[i] for i in f.generator_subset], k1, k2)
         for center, a, b in ((f.center, k1, k2), (-f.center, k2, k1)):
-            sides.append({(a.dot(r), b.dot(r)): (center + r).entries
-                          for r in corners})
-    verts = sorted({v for planar in sides for v in planar.values()})
+            sides.append({(a.dot(r), b.dot(r)): center + r for r in corners})
+    verts = sorted({v for planar in sides for v in planar.values()},
+                   key=lambda v: v.entries)
     index = {v: k for k, v in enumerate(verts)}
     polygons = [[index[planar[p]] for p in sorted(planar, key=_angle_key)]
                 for planar in sides]
-    return [RatVector(v) for v in verts], polygons
+    return verts, polygons
 
 
 def _obj_document(ns: NormalSet | None, z: Zonotope, patch_radius: int) -> str:

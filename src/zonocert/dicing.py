@@ -164,10 +164,9 @@ def is_totally_unimodular(m: RatMatrix) -> bool:
     Exponential in the matrix size; meant for the desk scale this package
     targets.  Raises NonIntegerEntries when some entry is fractional.
     """
-    cleared = m._integer_rows
-    if any(s != 1 for s, _ in cleared):
+    if any(v.den != 1 for v in m.row_vectors):
         raise NonIntegerEntries("total unimodularity needs integer entries")
-    columns = list(zip(*(ints for _, ints in cleared)))
+    columns = list(zip(*(v.nums for v in m.row_vectors)))
     for k in range(1, min(m.rows, m.cols) + 1):
         for rows_sub in itertools.combinations(range(m.rows), k):
             # each column cut to the row subset; a minor is k of these,

@@ -24,7 +24,8 @@ from .errors import (BasisCheckFailed, CertificationError, DimensionMismatch,
                      InternalFault, Mismatch, NotInLattice, NotPositiveDefinite,
                      ZonocertError)
 from .ratgeom import (LatticeBasis, RatMatrix, RatVector, _bareiss,
-                      _common_cleared, _pivot, det, dual_lattice_basis,
+                      _common_cleared, _from_cleared, _pivot, det,
+                      dual_lattice_basis,
                       hnf_lattice_basis, inverse, lattice_contains, rank,
                       same_lattice)
 from .zonotope import FacetDescriptor, Zonotope, facets
@@ -168,13 +169,6 @@ def facet_vectors(ns: NormalSet) -> FacetVectorSet:
     return _facet_vectors_from(q, lat, facets(z))
 
 
-def _sign_normalized(v: RatVector) -> RatVector:
-    lead = next((e for e in v.entries if e != 0), None)
-    if lead is None:
-        raise ValueError("zero vector has no sign normal form")
-    return -v if lead < 0 else v
-
-
 def check_n_equals_e(fv: FacetVectorSet, es: EdgeSet) -> tuple[tuple[int, int, int], ...]:
     """Match facet vectors against dicing edges, exactly and up to sign.
 
@@ -182,15 +176,14 @@ def check_n_equals_e(fv: FacetVectorSet, es: EdgeSet) -> tuple[tuple[int, int, i
     triples with edges[i] == sign * vectors[j]; raises Mismatch listing
     unmatched edges and unmatched facet vectors otherwise.
     """
-    unmatched = {_sign_normalized(e).entries: i for i, e in enumerate(es.edges)}
+    unmatched = {e: i for i, e in enumerate(es.edges)}
     pairs = []
     extra = []
     for j, lam in enumerate(fv.vectors):
-        key = _sign_normalized(lam).entries
-        if key in unmatched:
-            i = unmatched.pop(key)
-            sign = 1 if lam.entries == es.edges[i].entries else -1
-            pairs.append((i, j, sign))
+        if lam in unmatched:
+            pairs.append((unmatched.pop(lam), j, 1))
+        elif -lam in unmatched:
+            pairs.append((unmatched.pop(-lam), j, -1))
         else:
             extra.append(lam)
     if unmatched or extra:
@@ -235,8 +228,7 @@ def extract_basis(ns: NormalSet, es: EdgeSet, fv: FacetVectorSet,
     except ZonocertError as err:
         raise BasisCheckFailed(f"selected facet vectors are dependent: {err}")
     for k, v in enumerate(fv.vectors):
-        coords = basis_inv @ v
-        if any(c.denominator != 1 for c in coords.entries):
+        if (basis_inv @ v).den != 1:
             raise BasisCheckFailed(
                 f"facet vector {k} is fractional in the extracted basis")
     coord_matrix = lattice.inverse @ basis_matrix
@@ -387,8 +379,7 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm) -> list[VertexDuality]:
     if not candidates:
         raise EnumerationInsufficient("no cell vertex found inside the radius")
     back = inverse((b.transpose() @ q.matrix).scale(2 * s))
-    vertices = [(back @ RatVector(num)).scale(Fraction(1, den))
-                for num, den in candidates]
+    vertices = [back @ _from_cleared(den, num) for num, den in candidates]
 
     radii = [q.value(x) for x in vertices]
     peak = max(radii)
@@ -416,7 +407,7 @@ def _cell_data(lattice: LatticeBasis, q: QuadraticForm) -> list[VertexDuality]:
             raise EnumerationInsufficient(
                 f"vertex {x.entries} is equidistant to only {len(equidistant)} "
                 "lattice points")
-        cells.append(VertexDuality(x, tuple(RatVector(Fraction(e, t) for e in p)
+        cells.append(VertexDuality(x, tuple(_from_cleared(t, p)
                                             for p in sorted(equidistant)), phi_x))
     cells.sort(key=lambda cell: cell.vertex.entries)
     return cells
@@ -540,8 +531,9 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
     certification is caught here.  It does reuse pipeline code:
     ``quadratic_form`` and ``zone_vectors`` for the form and the
     generators, ``hnf_lattice_basis``, ``dual_lattice_basis`` and
-    ``same_lattice`` for the dicing lattice, and ``rank``, ``inverse``,
-    ``det`` and ``lattice_contains`` for the linear algebra.  A checker
+    ``same_lattice`` for the dicing lattice, ``first_basis_indices`` for
+    the sign of the stored determinant, and ``rank``, ``inverse``, ``det``
+    and ``lattice_contains`` for the linear algebra.  A checker
     that shares no code with the pipeline is ROADMAP item 6.
     """
     ns, es, fv = cert.normal_set, cert.edge_set, cert.facet_vectors
@@ -564,7 +556,7 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
         bad.append("ne_bijection is not a complete matching")
     else:
         for i, j, s in cert.ne_bijection:
-            if s not in (1, -1) or es.edges[i].entries != fv.vectors[j].scale(s).entries:
+            if s not in (1, -1) or es.edges[i] != fv.vectors[j].scale(s):
                 bad.append(f"matched pair ({i}, {j}) differs beyond sign")
 
     for e in es.edges:
@@ -590,8 +582,7 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
         q = quadratic_form(ns)
         recomputed = zone_vectors(ns)
         gens = cert.zonotope.generators
-        if tuple(v.entries for v in recomputed) != \
-                tuple(g.entries for g in gens):
+        if recomputed != gens:
             bad.append("zonotope generators are not the zone vectors")
         # lam carries a facet: the support of the cell along Q lam is
         # phi(lam)/2, and the generators orthogonal to Q lam have rank d-1
@@ -622,17 +613,25 @@ def verify_certificate(cert: VoronoiCertificate) -> CertificateAudit:
         bad.append("basis_indices is not a set of d facet vector indices")
     else:
         chosen = RatMatrix.from_columns([fv.vectors[i] for i in idx])
+        # extract_basis signs its k-th vector to pair +1 with the k-th of
+        # the first independent normals, and its det is over those columns
+        sign = 1
+        for b, i in zip(first_basis_indices(ns), idx):
+            pairing = ns.normals[b].dot(fv.vectors[i])
+            if pairing == 0:
+                bad.append(f"facet vector {i} pairs 0 with basis normal {b}")
+            elif pairing < 0:
+                sign = -sign
         try:
             chosen_inv = inverse(chosen)
             for k, v in enumerate(fv.vectors):
-                coords = chosen_inv @ v
-                if any(c.denominator != 1 for c in coords.entries):
+                if (chosen_inv @ v).den != 1:
                     bad.append(f"facet vector {k} fractional in the stored basis")
             coord_det = det(cert.lattice.inverse @ chosen)
             if abs(coord_det) != 1:
                 bad.append(f"stored basis has lattice determinant {coord_det}")
             if abs(cert.lattice_coordinate_det) != 1 or \
-                    abs(cert.lattice_coordinate_det) != abs(coord_det):
+                    cert.lattice_coordinate_det != sign * coord_det:
                 bad.append("stored determinant disagrees with the basis")
         except ZonocertError:
             bad.append("stored basis vectors are linearly dependent")

@@ -1,19 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Vectors store ``fractions.Fraction`` entries, and a matrix is its tuple of
-row vectors, so every rank, determinant, kernel, and Hermite form below is
-computed without rounding.  Each vector clears its denominators once and
-caches the result: one common denominator with a tuple of integer
-numerators.  A dot product or a matrix-vector product is then one integer
-sum and one ``Fraction`` per entry.
+A vector is its cleared form: one positive common denominator and a tuple
+of integer numerators with no common factor, so every rank, determinant,
+kernel, and Hermite form below is computed without rounding, and a sum,
+a scaled vector or a matrix-vector product is integer work and one gcd.
+A vector's ``Fraction`` entries are computed only when read, at the edges:
+JSON, messages, and sort order.
 Rank, determinant, kernels and inverses all come from one fraction-free
 Gauss-Jordan loop (Bareiss) over integer-cleared rows.  Each matrix runs
 it once for rank, determinant, pivot columns and kernels together and
 caches the eliminated rows; kernels are read off them as integer
 vectors, with no rational echelon form in between, and the determinant
 is the signed last pivot over the row denominators.
-A matrix keeps each row given as a vector, cleared form included, so a
-matrix stacked from vectors clears nothing again.  A
+A matrix is its tuple of row vectors, each kept as given.  A
 matrix's width is part of its value, so one with no rows keeps it.  The
 span enumerator scans the primitive integer directions of its vectors,
 not the vectors themselves, so each subset costs one elimination on
@@ -40,7 +39,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from .errors import DegenerateSpan, InternalFault, NotSquare, RankMismatch, Singular
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_rational(x) -> Fraction:
@@ -51,12 +49,6 @@ def _as_rational(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-def _clear(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The lcm s of the denominators and the integer numerators s * entries."""
-    s = math.lcm(*(e.denominator for e in entries))
-    return s, tuple(e.numerator * (s // e.denominator) for e in entries)
 
 
 def _as_index(x) -> int:
@@ -71,60 +63,90 @@ def _as_index(x) -> int:
 # vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatVector:
-    """Immutable rational vector."""
+    """Immutable rational vector, stored as its cleared form: entry i is
+    ``nums[i] / den`` with ``den > 0`` and gcd(den, *nums) = 1.
 
-    entries: tuple[Fraction, ...]
+    The form is canonical, so equality and hashing read it.  With den the
+    lcm of the entries' reduced denominators, the largest power p^k of a
+    prime dividing den divides the denominator b of some entry a/b, and
+    p does not divide a, so a * (den / b) is prime to p; any other common
+    denominator m * den scales every numerator by m as well."""
+
+    den: int
+    nums: tuple[int, ...]
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries",
-                           tuple(_as_rational(e) for e in entries))
+        es = [_as_rational(e) for e in entries]
+        den = math.lcm(*(e.denominator for e in es))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums",
+                           tuple(e.numerator * (den // e.denominator) for e in es))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def _integers(self) -> tuple[int, tuple[int, ...]]:
-        """Common denominator and integer numerators, cleared once."""
-        return _clear(self.entries)
+        return len(self.nums)
 
     def dot(self, other: "RatVector") -> Fraction:
         """One integer sum over the cleared forms, one Fraction."""
-        if self.dim != other.dim:
+        if len(self.nums) != len(other.nums):
             raise ValueError("dot product of vectors of different dimension")
-        (s, a), (t, b) = self._integers, other._integers
-        return Fraction(sum(map(mul, a, b)), s * t)
+        return Fraction(sum(map(mul, self.nums, other.nums)), self.den * other.den)
 
     def __add__(self, other: "RatVector") -> "RatVector":
-        if self.dim != other.dim:
+        if len(self.nums) != len(other.nums):
             raise ValueError("sum of vectors of different dimension")
-        return RatVector(a + b for a, b in zip(self.entries, other.entries))
+        s, t = self.den, other.den
+        return _from_cleared(s * t, [a * t + b * s
+                                     for a, b in zip(self.nums, other.nums)])
 
     def __sub__(self, other: "RatVector") -> "RatVector":
-        if self.dim != other.dim:
+        if len(self.nums) != len(other.nums):
             raise ValueError("difference of vectors of different dimension")
-        return RatVector(a - b for a, b in zip(self.entries, other.entries))
+        s, t = self.den, other.den
+        return _from_cleared(s * t, [a * t - b * s
+                                     for a, b in zip(self.nums, other.nums)])
 
     def __neg__(self) -> "RatVector":
-        return RatVector(-a for a in self.entries)
+        return _from_cleared(self.den, [-a for a in self.nums])
 
     def scale(self, c) -> "RatVector":
         c = _as_rational(c)
-        return RatVector(c * a for a in self.entries)
+        return _from_cleared(self.den * c.denominator,
+                             [a * c.numerator for a in self.nums])
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return Fraction(self.nums[i], self.den)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
+
+
+def _from_cleared(den: int, nums: Iterable[int]) -> RatVector:
+    """The vector nums / den for a nonzero int den of either sign, brought
+    to its cleared form by one gcd."""
+    nums = tuple(nums)
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = tuple(a // g for a in nums)
+    v = object.__new__(RatVector)
+    object.__setattr__(v, "den", den)
+    object.__setattr__(v, "nums", nums)
+    return v
 
 
 def zero_vector(dim: int) -> RatVector:
@@ -133,16 +155,16 @@ def zero_vector(dim: int) -> RatVector:
 
 def canonical_direction(v: RatVector) -> RatVector:
     """Scale a nonzero vector to integer entries, content 1, first nonzero positive."""
-    return _primitive(v._integers[1])
+    return _primitive(v.nums)
 
 
 def first_parallel_pair(vectors: Sequence[RatVector]) -> tuple[int, int] | None:
     """The lexicographically first index pair i < j of parallel nonzero
     vectors, or None when all directions differ."""
-    first: dict[tuple[Fraction, ...], int] = {}
+    first: dict[RatVector, int] = {}
     pairs = []
     for j, v in enumerate(vectors):
-        i = first.setdefault(canonical_direction(v).entries, j)
+        i = first.setdefault(canonical_direction(v), j)
         if i != j:
             pairs.append((i, j))
     return min(pairs, default=None)
@@ -175,10 +197,10 @@ def _width(rows: Sequence[Sequence], cols: int | None) -> int:
 class RatMatrix:
     """Immutable rational matrix: its tuple of row vectors and its width.
 
-    Each row is given either as a ``RatVector``, kept as it is with its
-    cached cleared form, or as a sequence of ints and Fractions, coerced
-    like a vector's entries.  The width is part of the value: matrices
-    with no rows and different ``cols`` differ."""
+    Each row is given either as a ``RatVector``, kept as it is, or as a
+    sequence of ints and Fractions, coerced like a vector's entries.  The
+    width is part of the value: matrices with no rows and different
+    ``cols`` differ."""
 
     row_vectors: tuple[RatVector, ...]
     cols: int
@@ -196,37 +218,25 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)]
-                    for i in range(n)], cols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @property
     def rows(self) -> int:
         return len(self.row_vectors)
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(v.entries for v in self.row_vectors)
-
-    @property
-    def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Each row's common denominator and integer numerators, cleared
-        once per row vector."""
-        return tuple(v._integers for v in self.row_vectors)
 
     @cached_property
     def _echelon(self) -> tuple[list[list[int]], int, int, tuple[int, ...]]:
         """The cleared rows after one Bareiss elimination, the sign of its
         row swaps, the last pivot p and the pivot columns; rank, det, the
         pivot columns and kernels all read it, and none mutates the rows."""
-        a = [list(ints) for _, ints in self._integer_rows]
+        a = [list(v.nums) for v in self.row_vectors]
         _, sign, p, pivots = _bareiss(a)
         return a, sign, p, pivots
 
-    def column(self, j: int) -> RatVector:
-        return RatVector(v.entries[j] for v in self.row_vectors)
-
     def columns(self) -> tuple[RatVector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        s, a = _common_cleared(self.row_vectors)
+        return tuple(_from_cleared(s, [row[j] for row in a])
+                     for j in range(self.cols))
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.columns(), cols=self.rows)
@@ -235,13 +245,16 @@ class RatMatrix:
         if isinstance(other, RatVector):
             if self.cols != other.dim:
                 raise ValueError("matrix and vector dimensions differ")
-            return RatVector(v.dot(other) for v in self.row_vectors)
+            s = math.lcm(*(v.den for v in self.row_vectors))
+            return _from_cleared(s * other.den,
+                                 [sum(map(mul, v.nums, other.nums)) * (s // v.den)
+                                  for v in self.row_vectors])
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner matrix dimensions differ")
-            cols = other.columns()
-            return RatMatrix([[v.dot(c) for c in cols] for v in self.row_vectors],
-                             cols=other.cols)
+            # row i of the product is other^T applied to row i
+            t = other.transpose()
+            return RatMatrix([t @ v for v in self.row_vectors], cols=other.cols)
         return NotImplemented
 
     def scale(self, c) -> "RatMatrix":
@@ -254,10 +267,9 @@ class RatMatrix:
 
 def _common_cleared(rows: Sequence[RatVector]) -> tuple[int, list[list[int]]]:
     """Scale all rows by one common denominator s, the lcm of the rows'
-    cleared denominators; returns s and the integer rows."""
-    cleared = [v._integers for v in rows]
-    s = math.lcm(*(t for t, _ in cleared))
-    return s, [[x * (s // t) for x in ints] for t, ints in cleared]
+    denominators; returns s and the integer rows."""
+    s = math.lcm(*(v.den for v in rows))
+    return s, [[x * (s // v.den) for x in v.nums] for v in rows]
 
 
 def _primitive(ints: Sequence[int]) -> RatVector:
@@ -268,7 +280,7 @@ def _primitive(ints: Sequence[int]) -> RatVector:
         raise ValueError("cannot canonicalize the zero vector")
     if next(x for x in ints if x) < 0:
         g = -g
-    return RatVector(x // g for x in ints)
+    return _from_cleared(g, ints)
 
 
 def _pivot(a: list[list[int]], r: int, c: int, prev: int) -> None:
@@ -358,7 +370,7 @@ def det(m: RatMatrix) -> Fraction:
     _, sign, p, pivots = m._echelon
     if len(pivots) < m.rows:
         return _ZERO
-    return Fraction(sign * p, math.prod(s for s, _ in m._integer_rows))
+    return Fraction(sign * p, math.prod(v.den for v in m.row_vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +397,7 @@ def _integer_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
 def kernel_basis(m: RatMatrix) -> tuple[RatVector, ...]:
     """Deterministic basis of the right kernel, one vector per free column."""
     p, vectors = _integer_kernel(m)
-    return tuple(RatVector(Fraction(x, p) for x in v) for v in vectors)
+    return tuple(_from_cleared(p, v) for v in vectors)
 
 
 def kernel_line(m: RatMatrix) -> RatVector:
@@ -439,12 +451,12 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise NotSquare(f"inverse of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    a = [list(ints) + [s if i == j else 0 for j in range(n)]
-         for i, (s, ints) in enumerate(m._integer_rows)]
+    a = [list(v.nums) + [v.den if i == j else 0 for j in range(n)]
+         for i, v in enumerate(m.row_vectors)]
     _, _, p, pivots = _bareiss(a)
     if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
-    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a], cols=n)
+    return RatMatrix([_from_cleared(p, row[n:]) for row in a], cols=n)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +543,7 @@ def _hnf_matrix(generators: Sequence[RatVector]) -> RatMatrix:
     if len(fixed) < dim:
         raise DegenerateSpan(
             f"generators span a rank {len(fixed)} sublattice of rank {dim} space")
-    return RatMatrix([[Fraction(fixed[j][i], den) for j in range(dim)]
+    return RatMatrix([_from_cleared(den, [fixed[j][i] for j in range(dim)])
                       for i in range(dim)], cols=dim)
 
 
@@ -548,7 +560,7 @@ def dual_lattice_basis(b: LatticeBasis) -> LatticeBasis:
 
 def lattice_contains(b: LatticeBasis, v: RatVector) -> bool:
     """True when v is an integer combination of the basis vectors."""
-    return all(c.denominator == 1 for c in b.inverse @ v)
+    return (b.inverse @ v).den == 1
 
 
 def same_lattice(a: LatticeBasis, b: LatticeBasis) -> bool:

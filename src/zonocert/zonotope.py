@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (DimensionTooLarge, DimensionTooSmall, InternalFault,
                      InvalidZonotope, SpanDeficient)
-from .ratgeom import (RatMatrix, RatVector, _as_index, _clear, _pivot,
+from .ratgeom import (RatMatrix, RatVector, _as_index, _pivot,
                       canonical_direction, independent_spans, kernel_basis,
                       kernel_line, rank, zero_vector)
 
@@ -43,16 +43,16 @@ class Zonotope:
     def __init__(self, dimension, generators):
         d = _as_index(dimension)
         # canonical direction -> merged generator, in order of first sight
-        merged: dict[tuple[Fraction, ...], RatVector] = {}
+        merged: dict[RatVector, RatVector] = {}
         for k, v in enumerate(generators):
             if v.dim != d:
                 raise InvalidZonotope(f"generator {k} has dimension {v.dim}, expected {d}")
             if v.is_zero():
                 raise InvalidZonotope(f"generator {k} is zero")
-            key = canonical_direction(v).entries
+            key = canonical_direction(v)
             if key in merged:
                 g = merged[key]
-                c = next(a / b for a, b in zip(v.entries, g.entries) if b)
+                c = v.dot(g) / g.dot(g)
                 v = g.scale(1 + abs(c))
             merged[key] = v
         gens = tuple(merged.values())
@@ -115,12 +115,12 @@ def ridge_classification(z: Zonotope) -> tuple[RidgeClass, ...]:
     gens = z.generators
     out: list[RidgeClass] = []
     for subset, (k1, k2) in independent_spans(gens, d - 2, kernel_basis):
-        directions: set[tuple[Fraction, ...]] = set()
+        directions: set[RatVector] = set()
         for g in gens:
             image = RatVector([k1.dot(g), k2.dot(g)])
             if image.is_zero():
                 continue
-            directions.add(canonical_direction(image).entries)
+            directions.add(canonical_direction(image))
         count = len(directions)
         if count < 2:
             raise InternalFault("projected generators collapse to a line")
@@ -174,7 +174,7 @@ def _in_convex_hull(p: tuple[Fraction, ...],
         return False
     n = len(pts)
     m = len(p) + 1
-    rows = [_clear([q[r] for q in pts] + [p[r]])[1] for r in range(m - 1)]
+    rows = [RatVector([q[r] for q in pts] + [p[r]]).nums for r in range(m - 1)]
     rows.append((1,) * (n + 1))
     rows = [[-x for x in row] if row[-1] < 0 else list(row) for row in rows]
     sums = [sum(col) for col in zip(*rows)]

@@ -13,6 +13,11 @@ def mat(rows) -> RatMatrix:
     return RatMatrix([vec(*r) for r in rows])
 
 
+def entries(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """A matrix's entries, row by row."""
+    return tuple(v.entries for v in m.row_vectors)
+
+
 def normal_set(rows, weights=None) -> NormalSet:
     normals = tuple(vec(*r) for r in rows)
     ws = tuple(Fraction(w) for w in (weights or [1] * len(normals)))

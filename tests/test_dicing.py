@@ -19,7 +19,7 @@ from zonocert.errors import (DegenerateSpan, InvalidNormalSet, InvalidZonotope,
                              RepresentationCheckFailed, Singular)
 
 from conftest import (CHECKER, CUBIC, FIVE_FAMILY, HEXAGONAL, NON_DICING,
-                      RHOMBIC, SQUARE, mat, normal_set, vec)
+                      RHOMBIC, SQUARE, entries, mat, normal_set, vec)
 from oracles import apply_affine
 
 # the cographic dicing of K3,3: 9 normals in dimension 4, 15 edge lines
@@ -279,7 +279,7 @@ def test_representation_invariants(rows):
     d = ns.dimension
     allowed = {Fraction(-1), Fraction(0), Fraction(1)}
     for matrix in (rep.normals_matrix, rep.edges_matrix):
-        assert {e for row in matrix.entries for e in row} <= allowed
+        assert {e for row in entries(matrix) for e in row} <= allowed
         cols = {c.entries for c in matrix.columns()}
         for i in range(d):
             assert tuple(Fraction(int(i == j)) for j in range(d)) in cols

@@ -469,6 +469,11 @@ def test_matching_rejects_corrupted_edge_set():
         check_n_equals_e(fv, corrupt)
     assert vec(1, 1) in info.value.missing
     assert vec(1, -1) in info.value.extra
+    # a zero facet vector matches no edge: it is reported, not raised on
+    with pytest.raises(Mismatch) as info:
+        check_n_equals_e(FacetVectorSet((vec(0, 0),) + fv.vectors[1:]),
+                         compute_edge_set(ns))
+    assert info.value.extra == (vec(0, 0),)
 
 
 def test_matching_is_up_to_sign_for_negative_led_edges():
@@ -975,6 +980,20 @@ def _lift_edge_set(cert):
         normal_set(CUBIC))), "edge 0 has dimension 3, expected 2")
 
 
+def _negate_det(cert):
+    # checker-2d stores -1; +1 has the right size and the wrong sign
+    return (dataclasses.replace(
+        cert, lattice_coordinate_det=-cert.lattice_coordinate_det),
+        "stored determinant disagrees with the basis")
+
+
+def _reverse_basis_indices(cert):
+    # the k-th stored vector must pair +-1 with the k-th first basis normal
+    first, second, third = cert.basis_indices
+    return (dataclasses.replace(cert, basis_indices=(third, second, first)),
+            f"facet vector {third} pairs 0 with basis normal 0")
+
+
 @pytest.mark.parametrize("rows, forge", [
     (HEXAGONAL, _drop_facet_vector), (HEXAGONAL, _drop_matched_pair),
     (HEXAGONAL, _double_edge), (HEXAGONAL, _double_lattice),
@@ -983,7 +1002,8 @@ def _lift_edge_set(cert):
     (HEXAGONAL, _forge_provenance), (HEXAGONAL, _swap_provenance),
     (RHOMBIC, _repeat_provenance_index), (HEXAGONAL, _lift_facet_vector),
     (HEXAGONAL, _lift_lattice), (HEXAGONAL, _lift_zonotope),
-    (HEXAGONAL, _lift_edge_set)])
+    (HEXAGONAL, _lift_edge_set), (CHECKER, _negate_det),
+    (RHOMBIC, _reverse_basis_indices)])
 def test_verifier_names_each_forged_invariant(rows, forge):
     bad, message = forge(certify_second_voronoi(normal_set(rows)))
     audit = verify_certificate(bad)

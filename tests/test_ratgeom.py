@@ -20,7 +20,7 @@ from zonocert import ratgeom
 from zonocert.ratgeom import (_bareiss_det, _pivot, first_parallel_pair,
                               independent_spans)
 
-from conftest import mat, vec
+from conftest import entries, mat, vec
 from oracles import rref
 
 
@@ -76,7 +76,7 @@ def test_products_match_an_index_loop(data):
     product = [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
                 for j in range(n)] for i in range(m)]
     image = [sum((a[i][t] * v[t] for t in range(k)), zero) for i in range(m)]
-    assert (as_matrix(a, k) @ as_matrix(b, n)).entries == \
+    assert entries(as_matrix(a, k) @ as_matrix(b, n)) == \
         tuple(map(tuple, product))
     assert (as_matrix(a, k) @ as_matrix(b, n)).cols == n
     assert (as_matrix(a, k) @ RatVector(v)).entries == tuple(image)
@@ -99,20 +99,51 @@ def test_cleared_products_equal_a_fraction_sum(data):
     assert (as_matrix(rows, len(v)) @ vector).entries == tuple(expected)
 
 
-def test_cached_integer_form_leaves_equality_and_hash_alone():
+def assert_cleared(v, entries):
+    """v is the canonical cleared form of these entries."""
+    assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
+    assert v.entries == tuple(entries)
+    assert RatVector(v.entries) == v
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(wide_rationals, min_size=n, max_size=n),
+    st.lists(wide_rationals, min_size=n, max_size=n), st.booleans(),
+    wide_rationals, st.integers(-12, 12).filter(bool))))
+def test_cleared_form_matches_fraction_arithmetic(data):
+    a, b, same, c, k = data
+    if same:
+        # the same entries, given as ints where they are integral
+        b = [int(x) if x.denominator == 1 else x for x in a]
+    u, v = RatVector(a), RatVector(b)
+    assert_cleared(u, a)
+    assert_cleared(v, b)
+    assert (u == v) == (a == b)
+    if a == b:
+        assert hash(u) == hash(v)
+    assert_cleared(u + v, [x + y for x, y in zip(a, b)])
+    assert_cleared(u - v, [x - y for x, y in zip(a, b)])
+    assert_cleared(-u, [-x for x in a])
+    assert_cleared(u.scale(c), [c * x for x in a])
+    assert u.dot(v) == sum(map(mul, a, b), Fraction(0))
+    # any nonzero multiple of the form, of either sign, reduces to it
+    assert ratgeom._from_cleared(k * u.den, [k * x for x in u.nums]) == u
+
+
+def test_a_vector_is_its_cleared_form_and_holds_no_cache():
     u, v = vec("1/2", "-2/3", 3), vec("1/2", "-2/3", 3)
     before = hash(u)
     assert v.dot(v) == Fraction(1, 4) + Fraction(4, 9) + 9
-    assert "_integers" in vars(v) and "_integers" not in vars(u)
-    assert v._integers == (6, (3, -4, 18))
+    assert (u.den, u.nums) == (v.den, v.nums) == (6, (3, -4, 18))
+    assert not hasattr(v, "__dict__")
     assert u == v and hash(u) == hash(v) == before and repr(u) == repr(v)
-    # a row given as a sequence clears lazily, on the matrix's first use
+    # a row given as a sequence is cleared when the matrix is built
     row = [1, Fraction(1, 2), 0]
     m, n = RatMatrix([row]), RatMatrix([row])
     assert m @ v == vec("1/6")
     (mrow,), (nrow,) = m.row_vectors, n.row_vectors
-    assert "_integers" in vars(mrow) and "_integers" not in vars(nrow)
-    assert m._integer_rows == ((2, (2, 1, 0)),)
+    assert (mrow.den, mrow.nums) == (nrow.den, nrow.nums) == (2, (2, 1, 0))
     assert m == n and hash(m) == hash(n) and repr(m) == repr(n)
     assert rank(m) == 1
     assert "_echelon" in vars(m) and "_echelon" not in vars(n)
@@ -128,8 +159,9 @@ def test_one_constructor_keeps_vector_rows_and_coerces_sequence_rows():
     u, v = vec("1/2", "-2/3", 3), vec(4, 0, "1/5")
     m = RatMatrix([u, v, u])
     assert all(a is b for a, b in zip(m.row_vectors, (u, v, u)))
-    assert m.entries == (u.entries, v.entries, u.entries)
-    assert all(a is b._integers for a, b in zip(m._integer_rows, (u, v, u)))
+    assert entries(m) == (u.entries, v.entries, u.entries)
+    assert [(r.den, r.nums) for r in m.row_vectors] == \
+        [(6, (3, -4, 18)), (5, (20, 0, 1)), (6, (3, -4, 18))]
     mixed = RatMatrix([u.entries, v, [Fraction(1, 2), Fraction(-2, 3), 3]])
     assert mixed == m and hash(mixed) == hash(m)
     assert all(type(r) is RatVector for r in mixed.row_vectors)
@@ -358,8 +390,8 @@ def test_spans_match_grouping_by_row_space(data):
     first: dict = {}
     for subset in itertools.combinations(range(len(rows)), k):
         m = RatMatrix([vectors[i] for i in subset], cols=len(rows[0]))
-        if minor_rank([list(r) for r in m.entries] or [[0]]) == k:
-            first.setdefault(rref(m)[0].entries, subset)
+        if minor_rank([list(r) for r in entries(m)] or [[0]]) == k:
+            first.setdefault(entries(rref(m)[0]), subset)
     got = [subset for subset, _ in
            independent_spans(vectors, k, kernel_basis)]
     assert got == sorted(first.values())
@@ -377,7 +409,7 @@ def test_span_kernel_receives_the_rows_directions():
     received = []
 
     def kernel(m):
-        received.append(m.entries)
+        received.append(entries(m))
         return kernel_line(m)
 
     vectors = [vec("-1/2", 1), vec(0, 3), vec(0, 0)]
@@ -483,9 +515,9 @@ def test_pivot_refuses_a_wrong_previous_pivot():
 @given(st.integers(1, 4).flatmap(lambda n: matrix_rows(n, n)))
 def test_det_matches_cofactor_expansion(rows):
     assert det(mat(rows)) == naive_det(rows)
-    cleared = mat(rows)._integer_rows
-    ints = [row for _, row in cleared]
-    factor = math.prod(s for s, _ in cleared)
+    cleared = mat(rows).row_vectors
+    ints = [v.nums for v in cleared]
+    factor = math.prod(v.den for v in cleared)
     assert _bareiss_det(ints) == naive_det(ints) == det(mat(rows)) * factor
 
 
@@ -700,7 +732,7 @@ def test_rref_reports_pivots():
                             matrix_rows(r, c, st.integers(-2, 2).map(Fraction))))))
 def test_rref_is_the_reduced_echelon_form_of_the_row_space(rows):
     reduced, pivots = rref(mat(rows))
-    ents = reduced.entries
+    ents = entries(reduced)
     k = len(pivots)
     assert k == minor_rank(rows)
     assert list(pivots) == sorted(set(pivots))
